@@ -6,6 +6,8 @@
 /// the host engine's widened space (channel_block and unroll on top of the
 /// paper's four parameters) and reports the untuned default configuration
 /// next to the optimum, so the output shows the pre-vs-post-tuning gain.
+/// The sweep is ExhaustiveSearch over a HostKernelEvaluator on the tiled
+/// engine's config_space.
 ///
 ///   ./bench_host_tuning [--dms 16] [--out-samples 2000] [--reps 2]
 ///                       [--scalar] [--json BENCH_host_tuning.json]
@@ -15,11 +17,11 @@
 
 #include "bench_common.hpp"
 #include "common/cli.hpp"
-#include "common/simd.hpp"
 #include "common/table.hpp"
 #include "dedisp/plan.hpp"
+#include "engine/registry.hpp"
 #include "sky/observation.hpp"
-#include "tuner/host_tuner.hpp"
+#include "tuner/strategy.hpp"
 
 int main(int argc, char** argv) {
   using namespace ddmc;
@@ -38,26 +40,36 @@ int main(int argc, char** argv) {
   const dedisp::Plan plan =
       dedisp::Plan::with_output_samples(sky::apertif(), dms, out);
 
+  engine::EngineOptions engine_options;
+  engine_options.cpu.vectorize = !cli.get_flag("scalar");
+  const auto tiled =
+      engine::make_engine(engine::kDefaultEngineId, engine_options);
   tuner::HostTuningOptions opt;
   opt.repetitions = static_cast<std::size_t>(cli.get_int("reps"));
   opt.warmup_runs = 1;
-  opt.vectorize = !cli.get_flag("scalar");
 
-  const tuner::HostTuningResult result = tuner::tune_host(plan, opt);
+  const auto sweep = [&](const std::vector<engine::EngineConfig>& configs) {
+    tuner::HostKernelEvaluator evaluator(tiled, plan, opt);
+    return tuner::ExhaustiveSearch().search(plan, tiled->config_axes(plan),
+                                            configs, evaluator);
+  };
+  const tuner::StrategyResult result = sweep(tiled->config_space(plan));
 
   // Pre-tuning anchor: the neutral default configuration, measured with the
   // same engine and repetition count.
-  const tuner::HostTuningResult untuned =
-      tuner::tune_host(plan, opt, {dedisp::KernelConfig{1, 1, 1, 1}});
+  const tuner::StrategyResult untuned =
+      sweep({engine::encode_kernel_config(dedisp::KernelConfig{1, 1, 1, 1})});
   const double pre_gflops = untuned.best.gflops;
+  const dedisp::KernelConfig best =
+      engine::decode_kernel_config(result.best.config);
 
   std::cout << "== measured host tuning, Apertif-reduced, " << dms
-            << " DMs x " << out << " samples, engine "
-            << (opt.vectorize ? simd::backend_name() : "scalar") << " ==\n"
+            << " DMs x " << out << " samples, engine " << tiled->variant()
+            << " ==\n"
             << "configurations measured: " << result.timings.size() << "\n"
             << "pre-tuning (default config): "
             << TextTable::num(pre_gflops, 2) << " GFLOP/s\n"
-            << "best: " << result.best.config.to_string() << " -> "
+            << "best: " << best.to_string() << " -> "
             << TextTable::num(result.best.gflops, 2) << " GFLOP/s ("
             << TextTable::num(result.best.seconds * 1e3, 1) << " ms), "
             << TextTable::num(result.best.gflops / pre_gflops, 2)
@@ -67,7 +79,7 @@ int main(int argc, char** argv) {
             << ", measured SNR of optimum "
             << TextTable::num(result.stats.snr_of_max, 2) << "\n\n";
 
-  std::vector<tuner::HostConfigTiming> sorted = result.timings;
+  std::vector<tuner::ConfigTiming> sorted = result.timings;
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.gflops > b.gflops; });
   const auto top_n =
@@ -75,7 +87,8 @@ int main(int argc, char** argv) {
                             static_cast<std::size_t>(cli.get_int("top")));
   TextTable table({"rank", "config", "GFLOP/s", "ms"});
   for (std::size_t i = 0; i < top_n; ++i) {
-    table.add_row({std::to_string(i + 1), sorted[i].config.to_string(),
+    table.add_row({std::to_string(i + 1),
+                   engine::decode_kernel_config(sorted[i].config).to_string(),
                    TextTable::num(sorted[i].gflops, 2),
                    TextTable::num(sorted[i].seconds * 1e3, 1)});
   }
@@ -103,15 +116,14 @@ int main(int argc, char** argv) {
     bench::JsonArray arr;
     for (const auto& t : result.timings) {
       bench::JsonObject o;
-      o.set_raw("config", config_json(t.config))
+      o.set_raw("config", config_json(engine::decode_kernel_config(t.config)))
           .set("seconds", t.seconds)
           .set("gflops", t.gflops);
       arr.add(o);
     }
     bench::JsonObject root;
     root.set("bench", "bench_host_tuning")
-        .set("engine",
-             opt.vectorize ? simd::backend_name() : "scalar")
+        .set("engine", tiled->variant())
         .set_raw("plan", bench::JsonObject()
                              .set("observation", "Apertif")
                              .set("dms", dms)
@@ -122,7 +134,7 @@ int main(int argc, char** argv) {
         .set("pre_tuning_gflops", pre_gflops)
         .set("tuned_gflops", result.best.gflops)
         .set("tuning_speedup", result.best.gflops / pre_gflops)
-        .set_raw("best_config", config_json(result.best.config))
+        .set_raw("best_config", config_json(best))
         .set_raw("population",
                  bench::JsonObject()
                      .set("mean", result.stats.mean)

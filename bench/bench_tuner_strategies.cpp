@@ -19,12 +19,11 @@
 
 #include "bench_common.hpp"
 #include "common/cli.hpp"
-#include "common/simd.hpp"
 #include "common/table.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine_config.hpp"
+#include "engine/registry.hpp"
 #include "sky/observation.hpp"
-#include "tuner/host_tuner.hpp"
 #include "tuner/search_space.hpp"
 #include "tuner/strategy.hpp"
 #include "tuner/tuning_cache.hpp"
@@ -62,23 +61,20 @@ int main(int argc, char** argv) {
   const dedisp::Plan plan =
       dedisp::Plan::with_output_samples(sky::apertif(), dms, out);
 
+  engine::EngineOptions engine_options;
+  engine_options.cpu.vectorize = !cli.get_flag("scalar");
+  const auto tiled =
+      engine::make_engine(engine::kDefaultEngineId, engine_options);
   tuner::HostTuningOptions opt;
   opt.repetitions = static_cast<std::size_t>(cli.get_int("reps"));
   opt.warmup_runs = 1;
-  opt.vectorize = !cli.get_flag("scalar");
 
   const auto raw =
       tuner::enumerate_host_configs(plan, opt.max_work_group_size);
-  const auto kernel_candidates = tuner::host_sweep_candidates(plan, opt);
-  const auto axes = engine::kernel_config_axes(kernel_candidates);
-  std::vector<engine::EngineConfig> candidates;
-  candidates.reserve(kernel_candidates.size());
-  for (const dedisp::KernelConfig& cfg : kernel_candidates) {
-    candidates.push_back(engine::encode_kernel_config(cfg));
-  }
+  const auto axes = tiled->config_axes(plan);
+  const auto candidates = tiled->config_space(plan);
   std::cout << "== tuner strategies, Apertif-reduced, " << dms << " DMs x "
-            << out << " samples, engine "
-            << (opt.vectorize ? simd::backend_name() : "scalar") << " ==\n"
+            << out << " samples, engine " << tiled->variant() << " ==\n"
             << "candidate space: " << raw.size() << " enumerated, "
             << candidates.size()
             << " distinct host kernels after deduplication\n\n";
@@ -89,20 +85,20 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   {
-    tuner::HostKernelEvaluator evaluator(plan, opt, seed);
+    tuner::HostKernelEvaluator evaluator(tiled, plan, opt, seed);
     rows.push_back(
         {"exhaustive",
          tuner::ExhaustiveSearch().search(plan, axes, candidates, evaluator)});
   }
   {
-    tuner::HostKernelEvaluator evaluator(plan, opt, seed);
+    tuner::HostKernelEvaluator evaluator(tiled, plan, opt, seed);
     const tuner::RandomSearch random(
         static_cast<std::size_t>(cli.get_int("random-samples")), seed);
     rows.push_back(
         {"random", random.search(plan, axes, candidates, evaluator)});
   }
   {
-    tuner::HostKernelEvaluator evaluator(plan, opt, seed);
+    tuner::HostKernelEvaluator evaluator(tiled, plan, opt, seed);
     const tuner::CoordinateDescent descent(seed);
     rows.push_back({"coordinate-descent",
                     descent.search(plan, axes, candidates, evaluator)});
@@ -129,6 +125,7 @@ int main(int argc, char** argv) {
   tuner::TuningCache cache;
   tuner::GuidedTuningOptions guided;
   guided.host = opt;
+  guided.engine_options = engine_options;
   guided.seed = seed;
   const tuner::GuidedTuningOutcome cold = tuner::tune_guided(plan, cache, guided);
   const tuner::GuidedTuningOutcome warm = tuner::tune_guided(plan, cache, guided);
@@ -212,7 +209,7 @@ int main(int argc, char** argv) {
     };
     bench::JsonObject root;
     root.set("bench", "bench_tuner_strategies")
-        .set("engine", opt.vectorize ? simd::backend_name() : "scalar")
+        .set("engine", tiled->variant())
         .set_raw("plan", bench::JsonObject()
                              .set("observation", "Apertif")
                              .set("dms", dms)

@@ -22,11 +22,12 @@
 /// consumers (detection, intensity weighting) and is NOT used on the
 /// bitwise-equality-critical accumulate path.
 ///
-/// A widening u8 layer (`vload_u8`, `accumulate_span_u8`) serves the
-/// quantized-input engine: samples stay one byte each in memory — a quarter
-/// of the float input traffic, which is the whole game for a
-/// bandwidth-bound kernel — and are unpacked to float lanes only inside
-/// the register tile.
+/// A widening u8 load (`vload_u8`) serves the quantized-input engine:
+/// samples stay one byte each in memory — a quarter of the float input
+/// traffic, which is the whole game for a bandwidth-bound kernel — and are
+/// unpacked to float lanes only inside the register tile. `vload_sample`
+/// picks the load by source type, so `accumulate_span` and the tiled
+/// kernel are written once over float and u8 samples.
 
 #include <cstddef>
 #include <cstdint>
@@ -168,23 +169,32 @@ inline vfloat vload_u8(const std::uint8_t* p) {
 
 #endif
 
+/// kFloatLanes samples as float lanes: the plain load for float samples,
+/// the widening load for quantized u8 codes. The one per-type point of
+/// every accumulate written over the sample type.
+inline vfloat vload_sample(const float* p) { return vload(p); }
+inline vfloat vload_sample(const std::uint8_t* p) { return vload_u8(p); }
+
 /// a[t] += s[t] for t in [0, n), `Unroll` vectors per iteration of the main
-/// loop. Per-element addition order is unchanged by lane width or unroll, so
-/// every instantiation produces bitwise-identical results.
-template <std::size_t Unroll>
-inline void accumulate_span_unrolled(float* a, const float* s, std::size_t n) {
+/// loop, over float samples or quantized u8 codes widened to float. Per-
+/// element addition order is unchanged by lane width or unroll, so every
+/// instantiation produces bitwise-identical results. For u8 codes the sum
+/// is also *exact* as long as it stays below 2^24 (255 · channels ≤ 2^24
+/// for any survey-sized channel count).
+template <std::size_t Unroll, typename T>
+inline void accumulate_span_unrolled(float* a, const T* s, std::size_t n) {
   constexpr std::size_t step = Unroll * kFloatLanes;
   std::size_t t = 0;
   for (; t + step <= n; t += step) {
     for (std::size_t u = 0; u < Unroll; ++u) {
       const std::size_t off = t + u * kFloatLanes;
-      vstore(a + off, vadd(vload(a + off), vload(s + off)));
+      vstore(a + off, vadd(vload(a + off), vload_sample(s + off)));
     }
   }
   for (; t + kFloatLanes <= n; t += kFloatLanes) {
-    vstore(a + t, vadd(vload(a + t), vload(s + t)));
+    vstore(a + t, vadd(vload(a + t), vload_sample(s + t)));
   }
-  for (; t < n; ++t) a[t] += s[t];
+  for (; t < n; ++t) a[t] += static_cast<float>(s[t]);
 }
 
 /// The unroll hints with a compiled instantiation behind them. Anything
@@ -199,7 +209,8 @@ inline constexpr bool is_supported_unroll(std::size_t unroll) {
 /// Hints outside is_supported_unroll run the un-unrolled loop; validated
 /// configs never carry one (KernelConfig::validate rejects them), so the
 /// fallback only serves direct low-level callers.
-inline void accumulate_span(float* a, const float* s, std::size_t n,
+template <typename T>
+inline void accumulate_span(float* a, const T* s, std::size_t n,
                             std::size_t unroll = 1) {
   switch (unroll) {
     case 8:
@@ -213,49 +224,6 @@ inline void accumulate_span(float* a, const float* s, std::size_t n,
       break;
     default:
       accumulate_span_unrolled<1>(a, s, n);
-      break;
-  }
-}
-
-/// a[t] += widen(s[t]) for quantized 8-bit samples: the sample plane stays
-/// one byte per element in memory and is widened to float lanes only inside
-/// the register file. Accumulating raw u8 codes in float lanes is *exact*
-/// as long as the running sum stays below 2^24 (255 · channels ≤ 2^24 for
-/// any survey-sized channel count), so — like the float span — every
-/// instantiation produces bitwise-identical results.
-template <std::size_t Unroll>
-inline void accumulate_span_u8_unrolled(float* a, const std::uint8_t* s,
-                                        std::size_t n) {
-  constexpr std::size_t step = Unroll * kFloatLanes;
-  std::size_t t = 0;
-  for (; t + step <= n; t += step) {
-    for (std::size_t u = 0; u < Unroll; ++u) {
-      const std::size_t off = t + u * kFloatLanes;
-      vstore(a + off, vadd(vload(a + off), vload_u8(s + off)));
-    }
-  }
-  for (; t + kFloatLanes <= n; t += kFloatLanes) {
-    vstore(a + t, vadd(vload(a + t), vload_u8(s + t)));
-  }
-  for (; t < n; ++t) a[t] += static_cast<float>(s[t]);
-}
-
-/// Runtime-unroll dispatch of the u8 widening accumulate, mirror of
-/// accumulate_span above.
-inline void accumulate_span_u8(float* a, const std::uint8_t* s, std::size_t n,
-                               std::size_t unroll = 1) {
-  switch (unroll) {
-    case 8:
-      accumulate_span_u8_unrolled<8>(a, s, n);
-      break;
-    case 4:
-      accumulate_span_u8_unrolled<4>(a, s, n);
-      break;
-    case 2:
-      accumulate_span_u8_unrolled<2>(a, s, n);
-      break;
-    default:
-      accumulate_span_u8_unrolled<1>(a, s, n);
       break;
   }
 }

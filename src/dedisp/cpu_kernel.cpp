@@ -15,18 +15,22 @@ namespace ddmc::dedisp {
 namespace {
 
 /// Per-worker scratch, reused across tiles so the hot loop never allocates.
+/// \p T is the sample type (float, or u8 codes); accumulators are float.
+template <typename T>
 struct TileScratch {
   /// Tile accumulators, tile_dm rows of acc_pitch floats each — the union
-  /// of every work-item's register file in this group. Rows are padded to
-  /// the SIMD width so vector loads never cross into the next row.
+  /// of every work-item's register file in this group (raw-code sums for
+  /// u8 samples). Rows are padded to the SIMD width so vector loads never
+  /// cross into the next row.
   std::vector<float, AlignedAllocator<float>> acc;
   std::size_t acc_pitch = 0;
   /// Staged input rows of the current (tile, channel-block), one pitched
-  /// row per channel — the engine's "local memory".
-  std::vector<float, AlignedAllocator<float>> staging;
+  /// row of samples per channel — the engine's "local memory". u8 rows
+  /// cost 1 byte per sample instead of 4.
+  std::vector<T, AlignedAllocator<T>> staging;
   /// Per-channel base pointer of the current block (staged row or a
   /// pointer straight into the input matrix).
-  std::vector<const float*> src;
+  std::vector<const T*> src;
   /// Delay/shift table of the current DM tile, all channels:
   /// shifts[ch * tile_dm + dm] = Δ(dm0+dm, ch) − lo[ch].
   std::vector<std::size_t> shifts;
@@ -46,9 +50,10 @@ struct TileScratch {
 /// and largest delay are scanned exactly (no monotonicity-in-DM
 /// assumption), so a pathological delay table sizes the staging buffer
 /// correctly instead of reading past it.
+template <typename T>
 void build_shift_table(const sky::DelayTable& delays, std::size_t dm0,
                        std::size_t tile_dm, std::size_t tile_time,
-                       std::size_t channels, TileScratch& s) {
+                       std::size_t channels, TileScratch<T>& s) {
   if (s.shifts_valid && s.shifts_dm0 == dm0) return;
   s.shifts.resize(channels * tile_dm);
   s.lo.resize(channels);
@@ -78,9 +83,10 @@ void build_shift_table(const sky::DelayTable& delays, std::size_t dm0,
 /// channel block instead of once per channel, and every add is a packed
 /// vector op. Per output element the channels are still added in ascending
 /// order, so results are bitwise identical to the scalar engine for every
-/// (DR, U) instantiation.
-template <std::size_t DR, std::size_t U>
-void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
+/// (DR, U) instantiation. u8 samples widen to float lanes only here, in the
+/// register file (simd::vload_sample); their raw-code sums are exact.
+template <typename T, std::size_t DR, std::size_t U>
+void accumulate_block_simd(const TileScratch<T>& s, std::size_t cb0,
                            std::size_t nch, std::size_t tile_dm,
                            std::size_t tile_time, float* acc,
                            std::size_t acc_pitch) {
@@ -98,11 +104,12 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
       }
       for (std::size_t c = 0; c < nch; ++c) {
         const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-        const float* base = s.src[c] + t;
+        const T* base = s.src[c] + t;
         for (std::size_t d = 0; d < DR; ++d) {
-          const float* p = base + shift[d];
+          const T* p = base + shift[d];
           for (std::size_t u = 0; u < U; ++u) {
-            regs[d][u] = simd::vadd(regs[d][u], simd::vload(p + u * kW));
+            regs[d][u] =
+                simd::vadd(regs[d][u], simd::vload_sample(p + u * kW));
           }
         }
       }
@@ -121,9 +128,9 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
       }
       for (std::size_t c = 0; c < nch; ++c) {
         const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-        const float* base = s.src[c] + t;
+        const T* base = s.src[c] + t;
         for (std::size_t d = 0; d < DR; ++d) {
-          regs[d] = simd::vadd(regs[d], simd::vload(base + shift[d]));
+          regs[d] = simd::vadd(regs[d], simd::vload_sample(base + shift[d]));
         }
       }
       for (std::size_t d = 0; d < DR; ++d) {
@@ -137,8 +144,10 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
       }
       for (std::size_t c = 0; c < nch; ++c) {
         const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-        const float* base = s.src[c] + t;
-        for (std::size_t d = 0; d < DR; ++d) regs[d] += base[shift[d]];
+        const T* base = s.src[c] + t;
+        for (std::size_t d = 0; d < DR; ++d) {
+          regs[d] += static_cast<float>(base[shift[d]]);
+        }
       }
       for (std::size_t d = 0; d < DR; ++d) {
         acc[(dm0 + d) * acc_pitch + t] = regs[d];
@@ -150,64 +159,68 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
 /// Map the config's register-tile knobs onto compiled instantiations: DR is
 /// elem_dm when the ladder covers it (it always divides tile_dm), U is the
 /// unroll knob. Unsupported values fall back to the narrowest kernel.
-template <std::size_t U>
-void dispatch_dr(std::size_t dr, const TileScratch& s, std::size_t cb0,
+template <typename T, std::size_t U>
+void dispatch_dr(std::size_t dr, const TileScratch<T>& s, std::size_t cb0,
                  std::size_t nch, std::size_t tile_dm,
                  std::size_t tile_time, float* acc, std::size_t acc_pitch) {
   switch (dr) {
     case 8:
-      accumulate_block_simd<8, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block_simd<T, 8, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
     case 4:
-      accumulate_block_simd<4, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block_simd<T, 4, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
     case 2:
-      accumulate_block_simd<2, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block_simd<T, 2, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
     default:
-      accumulate_block_simd<1, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block_simd<T, 1, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
   }
 }
 
+template <typename T>
 void dispatch_block_simd(std::size_t dr, std::size_t unroll,
-                         const TileScratch& s, std::size_t cb0,
+                         const TileScratch<T>& s, std::size_t cb0,
                          std::size_t nch, std::size_t tile_dm,
                          std::size_t tile_time, float* acc,
                          std::size_t acc_pitch) {
   switch (unroll) {
     case 8:
-      dispatch_dr<8>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<T, 8>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
       break;
     case 4:
-      dispatch_dr<4>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<T, 4>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
       break;
     case 2:
-      dispatch_dr<2>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<T, 2>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
       break;
     default:
-      dispatch_dr<1>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<T, 1>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
       break;
   }
 }
 
 /// The seed's scalar inner loop, kept verbatim as the engine baseline.
-inline void accumulate_span_scalar(float* a, const float* s, std::size_t n) {
-  for (std::size_t t = 0; t < n; ++t) a[t] += s[t];
+template <typename T>
+inline void accumulate_span_scalar(float* a, const T* s, std::size_t n) {
+  for (std::size_t t = 0; t < n; ++t) a[t] += static_cast<float>(s[t]);
 }
 
 /// Process one work-group tile: trials [dm0, dm0+tile_dm) × samples
 /// [t0, t0+tile_time). Channel-major accumulation matches the reference;
 /// channel blocking only re-chunks the (ordered) channel loop, so results
-/// are bitwise identical for every block size.
+/// are bitwise identical for every block size. \p writeback turns one
+/// accumulator row into output samples (the per-type epilogue).
+template <typename T, typename Writeback>
 void process_tile(const Plan& plan, const KernelConfig& config,
-                  ConstView2D<float> in, View2D<float> out, std::size_t dm0,
+                  ConstView2D<T> in, View2D<float> out, std::size_t dm0,
                   std::size_t t0, const CpuKernelOptions& options,
-                  TileScratch& scratch) {
+                  const Writeback& writeback, TileScratch<T>& scratch) {
   const sky::DelayTable& delays = plan.delays();
   const std::size_t tile_dm = config.tile_dm();
   const std::size_t tile_time = config.tile_time();
@@ -239,8 +252,8 @@ void process_tile(const Plan& plan, const KernelConfig& config,
       const std::size_t pitch = round_up(max_span, simd::kFloatLanes);
       scratch.staging.resize(nch * pitch);
       for (std::size_t c = 0; c < nch; ++c) {
-        float* dst = &scratch.staging[c * pitch];
-        const float* row = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
+        T* dst = &scratch.staging[c * pitch];
+        const T* row = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
         std::copy(row, row + scratch.span[cb0 + c], dst);
         scratch.src[c] = dst;
       }
@@ -266,14 +279,13 @@ void process_tile(const Plan& plan, const KernelConfig& config,
   }
 
   for (std::size_t dm = 0; dm < tile_dm; ++dm) {
-    float* dst = &out(dm0 + dm, t0);
-    const float* a = &scratch.acc[dm * scratch.acc_pitch];
-    std::copy(a, a + tile_time, dst);
+    writeback(&out(dm0 + dm, t0), &scratch.acc[dm * scratch.acc_pitch],
+              tile_time);
   }
 }
 
-void check_shapes(const Plan& plan, ConstView2D<float> in,
-                  View2D<float> out) {
+template <typename T>
+void check_shapes(const Plan& plan, ConstView2D<T> in, View2D<float> out) {
   DDMC_REQUIRE(in.rows() == plan.channels(), "input rows != channels");
   DDMC_REQUIRE(in.cols() >= plan.in_samples(),
                "input too short for the plan's largest delay");
@@ -281,11 +293,12 @@ void check_shapes(const Plan& plan, ConstView2D<float> in,
   DDMC_REQUIRE(out.cols() >= plan.out_samples(), "output too short");
 }
 
-}  // namespace
-
-void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
-                    ConstView2D<float> in, View2D<float> out,
-                    const CpuKernelOptions& options) {
+/// The thread-pool driver shared by both sample types.
+template <typename T, typename Writeback>
+void dedisperse_tiled(const Plan& plan, const KernelConfig& config,
+                      ConstView2D<T> in, View2D<float> out,
+                      const CpuKernelOptions& options,
+                      const Writeback& writeback) {
   config.validate(plan);
   check_shapes(plan, in, out);
 
@@ -294,12 +307,12 @@ void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
   const std::size_t total = groups_dm * groups_time;
 
   auto run_range = [&](std::size_t begin, std::size_t end) {
-    TileScratch scratch;  // reused across tiles on this worker
+    TileScratch<T> scratch;  // reused across tiles on this worker
     for (std::size_t g = begin; g < end; ++g) {
       const std::size_t gd = g / groups_time;
       const std::size_t gt = g % groups_time;
       process_tile(plan, config, in, out, gd * config.tile_dm(),
-                   gt * config.tile_time(), options, scratch);
+                   gt * config.tile_time(), options, writeback, scratch);
     }
   };
 
@@ -320,11 +333,48 @@ void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
   pool->parallel_for(0, total, block, run_range);
 }
 
+}  // namespace
+
+void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
+                    ConstView2D<float> in, View2D<float> out,
+                    const CpuKernelOptions& options) {
+  dedisperse_tiled(plan, config, in, out, options,
+                   [](float* dst, const float* acc, std::size_t n) {
+                     std::copy(acc, acc + n, dst);
+                   });
+}
+
 Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                               ConstView2D<float> in,
                               const CpuKernelOptions& options) {
   Array2D<float> out(plan.dms(), plan.out_samples());
   dedisperse_cpu(plan, config, in, out.view(), options);
+  return out;
+}
+
+void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                       ConstView2D<std::uint8_t> in,
+                       const QuantizationParams& params, View2D<float> out,
+                       const CpuKernelOptions& options) {
+  // Affine dequantization at writeback: Σ dequant(q) over C channels =
+  // C·lo + scale·Σq. One multiply-add per output element, computed from
+  // the exact integer code sum — the same floats on every code path.
+  const float base = static_cast<float>(plan.channels()) * params.lo;
+  const float scale = params.scale();
+  dedisperse_tiled(plan, config, in, out, options,
+                   [base, scale](float* dst, const float* acc, std::size_t n) {
+                     for (std::size_t t = 0; t < n; ++t) {
+                       dst[t] = base + scale * acc[t];
+                     }
+                   });
+}
+
+Array2D<float> dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                                 ConstView2D<std::uint8_t> in,
+                                 const QuantizationParams& params,
+                                 const CpuKernelOptions& options) {
+  Array2D<float> out(plan.dms(), plan.out_samples());
+  dedisperse_cpu_u8(plan, config, in, params, out.view(), options);
   return out;
 }
 

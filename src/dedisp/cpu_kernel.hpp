@@ -19,10 +19,29 @@
 /// so scalar, vectorized, blocked and threaded runs are all bit-identical
 /// to dedisp::reference — which is what the equivalence test suite checks.
 /// Tiles are independent and are distributed over a thread pool.
+///
+/// The kernel is one template over the sample type, instantiated for
+/// float and for quantized 8-bit codes (dedisperse_cpu_u8). The two
+/// instantiations differ in exactly two points:
+///
+///  - the vector load: float rows load as they are, byte rows are widened
+///    to float lanes inside the register tile (simd::vload_sample), so a
+///    u8 plane is one byte per sample from DRAM through staging;
+///  - the writeback epilogue: float tiles are copied out, u8 tiles hold
+///    exact raw-code sums (below 2^24, i.e. for up to 65 793 channels) and
+///    are dequantized once per output element, out = C·lo + scale·Σq.
+///
+/// The u8 sum is an exact integer summed in channel order, so every tile
+/// shape, channel block, unroll, SIMD backend and thread count produces
+/// bitwise-identical u8 output too; only the quantization itself is
+/// approximate (see quantize.hpp for the bound).
+
+#include <cstdint>
 
 #include "common/array2d.hpp"
 #include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
+#include "dedisp/quantize.hpp"
 
 namespace ddmc::dedisp {
 
@@ -47,5 +66,18 @@ void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
 Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                               ConstView2D<float> in,
                               const CpuKernelOptions& options = {});
+
+/// Execute the tiled kernel on a quantized byte plane (channels ×
+/// ≥in_samples codes under \p params), with the same config and options.
+void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                       ConstView2D<std::uint8_t> in,
+                       const QuantizationParams& params, View2D<float> out,
+                       const CpuKernelOptions& options = {});
+
+/// Convenience allocating the output matrix.
+Array2D<float> dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                                 ConstView2D<std::uint8_t> in,
+                                 const QuantizationParams& params,
+                                 const CpuKernelOptions& options = {});
 
 }  // namespace ddmc::dedisp

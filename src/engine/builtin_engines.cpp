@@ -26,7 +26,6 @@
 #include "common/simd.hpp"
 #include "dedisp/cpu_baseline.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "dedisp/cpu_kernel_u8.hpp"
 #include "dedisp/fdmt.hpp"
 #include "dedisp/quantize.hpp"
 #include "dedisp/reference.hpp"
@@ -35,7 +34,6 @@
 #include "ocl/device_presets.hpp"
 #include "ocl/sim_dedisp.hpp"
 #include "resilience/fault_injection.hpp"
-#include "tuner/host_tuner.hpp"
 #include "tuner/search_space.hpp"
 
 namespace ddmc::engine {
@@ -209,11 +207,7 @@ class CpuTiledBase : public KernelAxesEngine {
  protected:
   std::vector<dedisp::KernelConfig> kernel_candidates(
       const dedisp::Plan& plan) const override {
-    tuner::HostTuningOptions host;
-    host.stage_rows = options_.cpu.stage_rows;
-    host.vectorize = options_.cpu.vectorize;
-    host.threads = options_.cpu.threads;
-    return tuner::host_sweep_candidates(plan, host);
+    return tuner::host_sweep_candidates(plan, options_.cpu.vectorize);
   }
 };
 

@@ -105,8 +105,8 @@ dedisp::KernelConfig decode_kernel_config(const EngineConfig& config);
 
 /// The six kernel AxisSpecs with ladders collected from \p candidates, in
 /// the tiled engines' descent order (cache-behaviour knobs first). This is
-/// how a caller holding a KernelConfig candidate list (the host tuner, the
-/// strategy bench) declares the axes without an engine handle.
+/// how a caller holding a KernelConfig candidate list (the host sweep
+/// bench, the strategy bench) declares the axes without an engine handle.
 std::vector<AxisSpec> kernel_config_axes(
     const std::vector<dedisp::KernelConfig>& candidates);
 

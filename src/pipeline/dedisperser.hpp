@@ -78,9 +78,9 @@ class Dedisperser {
   /// engine under the winning config. Non-tunable engines race as
   /// single-candidate entries. Throws ddmc::invalid_argument when the
   /// winner cannot run the currently selected execution mode (a
-  /// non-sharding engine under kDmSharded). The engine knobs of
-  /// \p options.host are overridden by this Dedisperser's cpu_options(),
-  /// so the signature matches what dedisperse() will actually run.
+  /// non-sharding engine under kDmSharded). \p options.engine_options is
+  /// overridden by this Dedisperser's engine options (cpu_options()
+  /// included), so the signature matches what dedisperse() will run.
   tuner::GuidedTuningOutcome tune_cached(
       tuner::TuningCache& cache, tuner::GuidedTuningOptions options = {});
 

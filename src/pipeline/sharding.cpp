@@ -5,6 +5,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -211,9 +212,6 @@ ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
     : ShardedDedisperser(std::move(plan), std::move(options)) {
   if (tuning.engines.empty()) tuning.engines = {options_.engine};
   tuning.engine_options = options_.engine_options;
-  tuning.host.stage_rows = options_.engine_options.cpu.stage_rows;
-  tuning.host.vectorize = options_.engine_options.cpu.vectorize;
-  tuning.host.threads = options_.engine_options.cpu.threads;
   // Several engines race once on the *full* plan and every shard adopts
   // the winner: per-shard races could crown different engines on different
   // shards, breaking the single-engine bitwise assembly guarantee.
@@ -353,6 +351,13 @@ void ShardedDedisperser::run_batch(
       }
     }
   });
+  // Jobs append in completion order; sort so the reacquisition order and
+  // the aggregated error do not depend on thread timing.
+  std::sort(failures.begin(), failures.end(),
+            [](const resilience::ShardFailure& a,
+               const resilience::ShardFailure& b) {
+              return std::tie(a.beam, a.shard) < std::tie(b.beam, b.shard);
+            });
 
   // Phase 2 — reacquisition: a shard that exhausted its retries on
   // *transient* failures is a dead worker, not a poisoned request, so the

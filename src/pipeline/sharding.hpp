@@ -166,8 +166,8 @@ class ShardedDedisperser {
   /// every shard (per-shard races could crown different engines per shard
   /// and break the single-engine bitwise assembly guarantee); a winner
   /// without the supports_sharding capability is rejected with an error
-  /// naming it. The engine knobs of \p tuning.host are overridden by
-  /// \p options.cpu, matching what the workers will run.
+  /// naming it. \p tuning.engine_options is overridden by
+  /// \p options.engine_options, matching what the workers will run.
   ShardedDedisperser(dedisp::Plan plan, tuner::TuningCache& cache,
                      ShardedOptions options = {},
                      tuner::GuidedTuningOptions tuning = {});

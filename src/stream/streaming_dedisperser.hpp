@@ -132,9 +132,9 @@ class StreamingDedisperser {
   /// starts: the streaming-capability gate and the chunker's carried
   /// overlap are taken from the winning engine, so a winner with a larger
   /// input_padding streams real samples, not zero padding. The engine
-  /// knobs of \p tuning.host are overridden by \p options.cpu so the tuned
-  /// signature matches what the session will run; inspect tuning_outcome()
-  /// for what happened.
+  /// options of \p tuning are overridden by \p options (cpu and subband)
+  /// so the tuned signature matches what the session will run; inspect
+  /// tuning_outcome() for what happened.
   StreamingDedisperser(dedisp::Plan chunk_plan, tuner::TuningCache& cache,
                        Sink sink, StreamingOptions options = {},
                        tuner::GuidedTuningOptions tuning = {});

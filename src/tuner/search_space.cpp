@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "common/expect.hpp"
+
 namespace ddmc::tuner {
 
 SearchSpace default_search_space() {
@@ -103,6 +105,26 @@ std::vector<dedisp::KernelConfig> dedupe_host_configs(
     }
   }
   return out;
+}
+
+std::vector<dedisp::KernelConfig> host_sweep_candidates(
+    const dedisp::Plan& plan, bool vectorize, const HostTuningOptions& options,
+    const std::vector<dedisp::KernelConfig>& configs) {
+  std::vector<dedisp::KernelConfig> valid;
+  const std::vector<dedisp::KernelConfig>& space =
+      configs.empty()
+          ? enumerate_host_configs(plan, options.max_work_group_size)
+          : configs;
+  valid.reserve(space.size());
+  for (const dedisp::KernelConfig& cfg : space) {
+    try {
+      cfg.validate(plan);
+    } catch (const config_error&) {
+      continue;
+    }
+    valid.push_back(cfg);
+  }
+  return dedupe_host_configs(plan, valid, vectorize);
 }
 
 }  // namespace ddmc::tuner

@@ -16,8 +16,8 @@
 /// The host engine widens the space with two further axes, `channel_block`
 /// and `unroll` (see dedisp::KernelConfig). The device-model enumeration
 /// (enumerate_configs) leaves them at their neutral defaults — the OpenCL
-/// model has no notion of them — while the measured host tuner sweeps them
-/// through enumerate_host_configs.
+/// model has no notion of them — while the measured host sweep covers them
+/// through enumerate_host_configs and host_sweep_candidates.
 
 #include <vector>
 
@@ -84,5 +84,29 @@ HostKernelKey host_kernel_key(const dedisp::KernelConfig& config,
 std::vector<dedisp::KernelConfig> dedupe_host_configs(
     const dedisp::Plan& plan, const std::vector<dedisp::KernelConfig>& configs,
     bool vectorize = true);
+
+/// Measurement knobs of a host sweep. The host-execution flags (staging,
+/// SIMD, threads) are not among them: they belong to the engine being
+/// measured (engine::EngineOptions::cpu), which is also what the tuning
+/// cache keys on.
+struct HostTuningOptions {
+  std::size_t repetitions = 3;   ///< timed runs per configuration (paper: 10)
+  std::size_t warmup_runs = 1;   ///< untimed cache-warming runs
+  /// Skip configurations whose tile covers the whole instance more than
+  /// once over (they cannot win and waste sweep time).
+  std::size_t max_work_group_size = 1024;
+};
+
+/// The candidate list a host sweep actually times: \p configs (or the
+/// default ladder restricted to the plan, when empty), minus configs that
+/// fail validation, minus host-execution duplicates of the SIMD
+/// (\p vectorize) or scalar kernel — the default ladder crossed with the
+/// divisor candidates reaches the same host kernel under many (wi, elem)
+/// splits, and timing a kernel twice only wastes sweep time. This is the
+/// tiled engines' config_space.
+std::vector<dedisp::KernelConfig> host_sweep_candidates(
+    const dedisp::Plan& plan, bool vectorize = true,
+    const HostTuningOptions& options = {},
+    const std::vector<dedisp::KernelConfig>& configs = {});
 
 }  // namespace ddmc::tuner

@@ -7,7 +7,7 @@
 #include "common/expect.hpp"
 #include "common/random.hpp"
 #include "common/timer.hpp"
-#include "engine/registry.hpp"
+#include "engine/engine.hpp"
 #include "tuner/search_space.hpp"
 
 namespace ddmc::tuner {
@@ -53,27 +53,6 @@ ConfigTiming to_timing(const dedisp::Plan& plan,
 }  // namespace
 
 // ------------------------------------------------------------- evaluator --
-
-namespace {
-
-/// The engine the single-plan constructor measures: the tiled host kernel
-/// under the caller's host-execution flags.
-std::shared_ptr<const engine::DedispEngine> default_tuning_engine(
-    const HostTuningOptions& options) {
-  engine::EngineOptions engine_options;
-  engine_options.cpu.stage_rows = options.stage_rows;
-  engine_options.cpu.vectorize = options.vectorize;
-  engine_options.cpu.threads = options.threads;
-  return engine::make_engine(engine::kDefaultEngineId, engine_options);
-}
-
-}  // namespace
-
-HostKernelEvaluator::HostKernelEvaluator(const dedisp::Plan& plan,
-                                         const HostTuningOptions& options,
-                                         std::uint64_t seed)
-    : HostKernelEvaluator(default_tuning_engine(options), plan, options,
-                          seed) {}
 
 HostKernelEvaluator::HostKernelEvaluator(
     std::shared_ptr<const engine::DedispEngine> engine,

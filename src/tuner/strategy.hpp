@@ -38,10 +38,9 @@
 
 #include "common/array2d.hpp"
 #include "common/statistics.hpp"
-#include "dedisp/cpu_kernel.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine_config.hpp"
-#include "tuner/host_tuner.hpp"
+#include "tuner/search_space.hpp"
 
 namespace ddmc::engine {
 class DedispEngine;
@@ -92,14 +91,10 @@ class ConfigEvaluator {
 /// measurement loop of the paper's method). The input is sized for the
 /// engine's declared input_padding, and GFLOP/s is always credited on
 /// plan.total_flop(), so measurements of *different* engines on one plan
-/// rank them by wall time.
+/// rank them by wall time. Host-execution flags (staging, SIMD, threads)
+/// are the engine's own options; \p options only sets the repetitions.
 class HostKernelEvaluator : public ConfigEvaluator {
  public:
-  /// Measure the default tiled host engine under \p options.
-  HostKernelEvaluator(const dedisp::Plan& plan,
-                      const HostTuningOptions& options,
-                      std::uint64_t seed = 42);
-
   /// Measure \p engine (any registry engine).
   HostKernelEvaluator(std::shared_ptr<const engine::DedispEngine> engine,
                       const dedisp::Plan& plan,

@@ -15,7 +15,6 @@
 #include "resilience/fault_injection.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracing.hpp"
-#include "tuner/host_tuner.hpp"
 #include "tuner/results_io.hpp"
 
 namespace ddmc::tuner {
@@ -505,10 +504,6 @@ GuidedTuningOutcome tune_guided(const dedisp::Plan& plan, TuningCache& cache,
       options.engines.empty()
           ? std::vector<std::string>{engine::kDefaultEngineId}
           : options.engines;
-  engine::EngineOptions engine_options = options.engine_options;
-  engine_options.cpu.stage_rows = options.host.stage_rows;
-  engine_options.cpu.vectorize = options.host.vectorize;
-  engine_options.cpu.threads = options.host.threads;
 
   // Resolve every engine's ladder independently; each search winner is
   // stored under its own (engine, host, plan) signature, so the cross-
@@ -529,7 +524,7 @@ GuidedTuningOutcome tune_guided(const dedisp::Plan& plan, TuningCache& cache,
   for (const std::string& id : engines) {
     GuidedTuningOutcome outcome =
         tune_one_engine(plan, cache, options,
-                        engine::make_engine(id, engine_options),
+                        engine::make_engine(id, options.engine_options),
                         validate_transfers);
     evaluated += outcome.configs_evaluated;
     if (!best || rank(outcome) < rank(*best)) {

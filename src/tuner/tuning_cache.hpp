@@ -185,12 +185,11 @@ struct GuidedTuningOptions {
   /// pipeline, sharded and streaming layers) substitute their configured
   /// engine, and a bare tune_guided call substitutes the default engine.
   std::vector<std::string> engines;
-  /// Measurement knobs (repetitions, host-execution flags, threads) — also
-  /// the source of the host signature.
+  /// Measurement knobs (repetitions, warmup runs).
   HostTuningOptions host;
-  /// Factory knobs beyond the host flags for engines that need them (the
-  /// subband split, the ocl_sim device); the cpu field is overridden from
-  /// \p host.
+  /// Factory knobs of every raced engine: the host-execution flags
+  /// (cpu: staging, SIMD, threads) — the source of the host signature —
+  /// plus engine-specific ones (the subband split, the ocl_sim device).
   engine::EngineOptions engine_options;
   /// Strategy for the search fallback.
   StrategyKind strategy = StrategyKind::kCoordinateDescent;

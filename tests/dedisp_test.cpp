@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "dedisp/intensity.hpp"
 #include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
+#include "dedisp/quantize.hpp"
 #include "dedisp/reference.hpp"
 #include "test_util.hpp"
 
@@ -303,7 +305,9 @@ TEST(CpuKernel, ScalarEngineMatchesSimdEngine) {
 /// Seeded randomized property sweep: random plan shapes, random extended
 /// configs (channel_block/unroll included), staged/unstaged, scalar/SIMD,
 /// inline and threaded — every combination must reproduce the reference
-/// bit-for-bit.
+/// bit-for-bit. The u8 instantiation of the kernel runs the same config
+/// and options on the quantized plane and must reproduce the exact
+/// dequantized code sum C·lo + scale·Σq bit-for-bit.
 TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
   std::mt19937 gen(20260730);
   auto pick = [&](const std::vector<std::size_t>& v) {
@@ -350,6 +354,25 @@ TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
                  std::to_string(opt.threads));
     const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
     expect_same_matrix(expected, got);
+
+    const dedisp::QuantizationParams quant{-1.0f, 1.0f};
+    const Array2D<std::uint8_t> codes =
+        dedisp::quantize_plane(plan, in.cview(), quant);
+    Array2D<float> expected_u8(plan.dms(), plan.out_samples());
+    const float base = static_cast<float>(channels) * quant.lo;
+    for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
+      for (std::size_t t = 0; t < plan.out_samples(); ++t) {
+        std::uint32_t sum = 0;
+        for (std::size_t ch = 0; ch < channels; ++ch) {
+          sum += codes(ch, t + static_cast<std::size_t>(
+                                   plan.delays().delay(dm, ch)));
+        }
+        expected_u8(dm, t) = base + quant.scale() * static_cast<float>(sum);
+      }
+    }
+    expect_same_matrix(
+        expected_u8,
+        dedisp::dedisperse_cpu_u8(plan, cfg, codes.cview(), quant, opt));
   }
 }
 

@@ -853,7 +853,7 @@ tuner::GuidedTuningOptions fast_tuning() {
   options.engines = {"cpu_tiled", "subband"};
   options.host.repetitions = 1;
   options.host.warmup_runs = 0;
-  options.host.threads = 1;
+  options.engine_options.cpu.threads = 1;
   options.strategy = tuner::StrategyKind::kRandom;
   options.random_samples = 3;
   return options;

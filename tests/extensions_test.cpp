@@ -1,5 +1,6 @@
 // Tests for the extension modules: subband (two-stage) dedispersion, the
-// wall-clock host tuner, and multi-beam processing.
+// wall-clock host sweep (ExhaustiveSearch over a HostKernelEvaluator), and
+// multi-beam processing.
 
 #include <gtest/gtest.h>
 
@@ -8,11 +9,12 @@
 #include "common/expect.hpp"
 #include "dedisp/reference.hpp"
 #include "dedisp/subband.hpp"
+#include "engine/registry.hpp"
 #include "pipeline/multibeam.hpp"
 #include "sky/detection.hpp"
 #include "sky/signal.hpp"
 #include "test_util.hpp"
-#include "tuner/host_tuner.hpp"
+#include "tuner/strategy.hpp"
 
 namespace ddmc {
 namespace {
@@ -150,16 +152,38 @@ TEST(Subband, InputPaddingIsEnforced) {
 
 // ------------------------------------------------------------- host tuner --
 
-TEST(HostTuner, FindsABestConfigAndKeepsAllTimings) {
-  const Plan plan = testing::mini_plan(8, 64);
+tuner::HostTuningOptions single_run() {
   tuner::HostTuningOptions opt;
   opt.repetitions = 1;
   opt.warmup_runs = 0;
-  opt.threads = 1;
+  return opt;
+}
+
+/// The measured host tuner: time every host-sweep candidate of \p configs
+/// (the default ladder when empty) on the inline cpu_tiled engine and keep
+/// the fastest.
+tuner::StrategyResult sweep_host(const Plan& plan,
+                                 const tuner::HostTuningOptions& opt,
+                                 const std::vector<KernelConfig>& configs = {}) {
+  engine::EngineOptions inline_cpu;
+  inline_cpu.cpu.threads = 1;
+  const auto tiled = engine::make_engine("cpu_tiled", inline_cpu);
+  std::vector<engine::EngineConfig> candidates;
+  for (const KernelConfig& cfg :
+       tuner::host_sweep_candidates(plan, true, opt, configs)) {
+    candidates.push_back(engine::encode_kernel_config(cfg));
+  }
+  tuner::HostKernelEvaluator evaluator(tiled, plan, opt);
+  return tuner::ExhaustiveSearch().search(plan, tiled->config_axes(plan),
+                                          candidates, evaluator);
+}
+
+TEST(HostTuner, FindsABestConfigAndKeepsAllTimings) {
+  const Plan plan = testing::mini_plan(8, 64);
   const std::vector<KernelConfig> configs = {
       KernelConfig{8, 1, 1, 1}, KernelConfig{8, 2, 4, 2},
       KernelConfig{16, 4, 2, 2}};
-  const tuner::HostTuningResult r = tuner::tune_host(plan, opt, configs);
+  const tuner::StrategyResult r = sweep_host(plan, single_run(), configs);
   EXPECT_EQ(r.timings.size(), 3u);
   EXPECT_EQ(r.stats.count, 3u);
   for (const auto& t : r.timings) {
@@ -171,25 +195,18 @@ TEST(HostTuner, FindsABestConfigAndKeepsAllTimings) {
 
 TEST(HostTuner, SkipsInvalidConfigs) {
   const Plan plan = testing::mini_plan(8, 64);
-  tuner::HostTuningOptions opt;
-  opt.repetitions = 1;
-  opt.warmup_runs = 0;
-  opt.threads = 1;
   const std::vector<KernelConfig> configs = {
       KernelConfig{5, 1, 1, 1},  // non-dividing: skipped
       KernelConfig{8, 1, 1, 1}};
-  const tuner::HostTuningResult r = tuner::tune_host(plan, opt, configs);
+  const tuner::StrategyResult r = sweep_host(plan, single_run(), configs);
   EXPECT_EQ(r.timings.size(), 1u);
-  EXPECT_EQ(r.best.config, (KernelConfig{8, 1, 1, 1}));
+  EXPECT_EQ(engine::decode_kernel_config(r.best.config),
+            (KernelConfig{8, 1, 1, 1}));
 }
 
 TEST(HostTuner, DefaultLadderIsNonEmptyOnSmallPlans) {
   const Plan plan = testing::mini_plan(8, 64);
-  tuner::HostTuningOptions opt;
-  opt.repetitions = 1;
-  opt.warmup_runs = 0;
-  opt.threads = 1;
-  const tuner::HostTuningResult r = tuner::tune_host(plan, opt);
+  const tuner::StrategyResult r = sweep_host(plan, single_run());
   EXPECT_GT(r.timings.size(), 10u);
 }
 
@@ -197,7 +214,7 @@ TEST(HostTuner, RejectsZeroRepetitions) {
   const Plan plan = testing::mini_plan(8, 64);
   tuner::HostTuningOptions opt;
   opt.repetitions = 0;
-  EXPECT_THROW(tuner::tune_host(plan, opt), invalid_argument);
+  EXPECT_THROW(sweep_host(plan, opt), invalid_argument);
 }
 
 // -------------------------------------------------------------- multibeam --

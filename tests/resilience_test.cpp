@@ -372,6 +372,9 @@ TEST(SupervisedSharding, LastReportIsSafeToReadMidFlight) {
   });
 
   const Array2D<float> expected = single_engine(plan, config, input);
+  // The reader must be live before the runs start: nothing else orders
+  // its first snapshot before the last run ends.
+  while (reads.load() == 0) std::this_thread::yield();
   for (int run = 0; run < 20; ++run) {
     try {
       expect_same_matrix(expected, sharded.dedisperse(input.cview()));

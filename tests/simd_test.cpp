@@ -153,7 +153,7 @@ TEST(Simd, AccumulateSpanU8MatchesScalarBitwise) {
         for (std::size_t i = 0; i < n; ++i) {
           acc_simd[i] = acc_scalar[i] = fdist(gen);
         }
-        accumulate_span_u8(acc_simd.data(), src.data() + offset, n, unroll);
+        accumulate_span(acc_simd.data(), src.data() + offset, n, unroll);
         for (std::size_t i = 0; i < n; ++i) {
           acc_scalar[i] += static_cast<float>(src[offset + i]);
         }
@@ -177,10 +177,10 @@ TEST(Simd, AccumulateSpanU8IsAdditiveOverCalls) {
   std::uniform_int_distribution<int> dist(0, 255);
   for (auto& v : a) v = static_cast<std::uint8_t>(dist(gen));
   for (auto& v : b) v = static_cast<std::uint8_t>(dist(gen));
-  accumulate_span_u8(acc_once.data(), a.data(), n);
-  accumulate_span_u8(acc_once.data(), b.data(), n);
-  accumulate_span_u8(acc_split.data(), a.data(), n, 4);
-  accumulate_span_u8(acc_split.data(), b.data(), n, 2);
+  accumulate_span(acc_once.data(), a.data(), n);
+  accumulate_span(acc_once.data(), b.data(), n);
+  accumulate_span(acc_split.data(), a.data(), n, 4);
+  accumulate_span(acc_split.data(), b.data(), n, 2);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(acc_once[i], acc_split[i]);
 }
 

@@ -23,7 +23,6 @@
 #include "ocl/device_presets.hpp"
 #include "test_util.hpp"
 #include "tuner/fixed_config.hpp"
-#include "tuner/host_tuner.hpp"
 #include "tuner/results_io.hpp"
 #include "tuner/search_space.hpp"
 #include "tuner/strategy.hpp"
@@ -442,20 +441,30 @@ TEST(HostDedup, DedupeKeepsOneRepresentativePerKernel) {
   EXPECT_LE(dedupe_host_configs(plan, raw, false).size(), deduped.size());
 }
 
-TEST(HostDedup, TuneHostTimesEachKernelOnce) {
+TEST(HostDedup, ExhaustiveSweepTimesEachKernelOnce) {
   const Plan plan = mini_plan(8, 64);
   HostTuningOptions opt;
   opt.repetitions = 1;
   opt.warmup_runs = 0;
-  opt.threads = 1;
+  engine::EngineOptions inline_cpu;
+  inline_cpu.cpu.threads = 1;
+  const auto tiled = engine::make_engine("cpu_tiled", inline_cpu);
   // {8,1,1,1} and {1,1,8,1} are the same host kernel; {4,1,1,1} differs.
   const std::vector<KernelConfig> configs = {
       KernelConfig{8, 1, 1, 1}, KernelConfig{1, 1, 8, 1},
       KernelConfig{4, 1, 1, 1}};
-  const HostTuningResult r = tune_host(plan, opt, configs);
+  std::vector<engine::EngineConfig> candidates;
+  for (const KernelConfig& cfg : host_sweep_candidates(plan, true, opt,
+                                                       configs)) {
+    candidates.push_back(engine::encode_kernel_config(cfg));
+  }
+  HostKernelEvaluator eval(tiled, plan, opt);
+  const StrategyResult r = ExhaustiveSearch().search(
+      plan, tiled->config_axes(plan), candidates, eval);
   EXPECT_EQ(r.timings.size(), 2u);
-  EXPECT_EQ(r.timings[0].config, configs[0]);
-  EXPECT_EQ(r.timings[1].config, configs[2]);
+  EXPECT_EQ(eval.measurements(), 2u);
+  EXPECT_EQ(engine::decode_kernel_config(r.timings[0].config), configs[0]);
+  EXPECT_EQ(engine::decode_kernel_config(r.timings[1].config), configs[2]);
 }
 
 // ------------------------------------------------------------ strategies --
@@ -640,12 +649,14 @@ TEST(Strategies, RealMeasurementSmoke) {
   HostTuningOptions opt;
   opt.repetitions = 1;
   opt.warmup_runs = 0;
-  opt.threads = 1;
-  const auto kernel_candidates = host_sweep_candidates(plan, opt);
+  engine::EngineOptions inline_cpu;
+  inline_cpu.cpu.threads = 1;
+  const auto tiled = engine::make_engine("cpu_tiled", inline_cpu);
+  const auto kernel_candidates = host_sweep_candidates(plan, true, opt);
   ASSERT_FALSE(kernel_candidates.empty());
   const auto axes = engine::kernel_config_axes(kernel_candidates);
   const auto candidates = engine_candidates(kernel_candidates);
-  HostKernelEvaluator eval(plan, opt);
+  HostKernelEvaluator eval(tiled, plan, opt);
   const StrategyResult cd =
       CoordinateDescent(3, 2, 4, 0).search(plan, axes, candidates, eval);
   EXPECT_GT(cd.best.gflops, 0.0);
@@ -795,7 +806,7 @@ TEST(TuningCacheTest, WarmHitSkipsMeasurementEntirely) {
   GuidedTuningOptions opt;
   opt.host.repetitions = 1;
   opt.host.warmup_runs = 0;
-  opt.host.threads = 1;
+  opt.engine_options.cpu.threads = 1;
   opt.strategy = StrategyKind::kRandom;
   opt.random_samples = 3;
 
@@ -820,7 +831,7 @@ TEST(TuningCacheTest, MissTransfersFromTheNearestPlan) {
   GuidedTuningOptions opt;
   opt.host.repetitions = 1;
   opt.host.warmup_runs = 0;
-  opt.host.threads = 1;
+  opt.engine_options.cpu.threads = 1;
   opt.strategy = StrategyKind::kRandom;
   opt.random_samples = 3;
   const GuidedTuningOutcome cold = tune_guided(plan, cache, opt);
@@ -857,7 +868,7 @@ TEST(TuningCacheTest, PersistsAcrossProcessesViaResultsIo) {
   GuidedTuningOptions opt;
   opt.host.repetitions = 1;
   opt.host.warmup_runs = 0;
-  opt.host.threads = 1;
+  opt.engine_options.cpu.threads = 1;
   opt.strategy = StrategyKind::kRandom;
   opt.random_samples = 3;
 
@@ -893,7 +904,7 @@ TEST(TuningCacheTest, RaceRanksEnginesBySecondsNotGflops) {
   GuidedTuningOptions opt;
   opt.host.repetitions = 1;
   opt.host.warmup_runs = 0;
-  opt.host.threads = 1;
+  opt.engine_options.cpu.threads = 1;
   opt.strategy = StrategyKind::kRandom;
   opt.random_samples = 2;
   for (const char* id : {"cpu_tiled", "cpu_baseline"}) {
@@ -931,7 +942,7 @@ TEST(TuningCacheTest, WarmRaceRoundTripsTheEngineAxisThroughTheFile) {
   GuidedTuningOptions opt;
   opt.host.repetitions = 1;
   opt.host.warmup_runs = 0;
-  opt.host.threads = 1;
+  opt.engine_options.cpu.threads = 1;
   opt.strategy = StrategyKind::kRandom;
   opt.random_samples = 2;
   opt.engines = {"cpu_tiled", "cpu_baseline"};
@@ -968,7 +979,7 @@ TEST(TuningCacheTest, ThreeWayRaceWithFdmtResolvesWarmAndRanksBySeconds) {
   GuidedTuningOptions opt;
   opt.host.repetitions = 1;
   opt.host.warmup_runs = 0;
-  opt.host.threads = 1;
+  opt.engine_options.cpu.threads = 1;
   opt.strategy = StrategyKind::kRandom;
   opt.random_samples = 2;
   opt.engines = {"cpu_tiled", "subband", "fdmt"};
