@@ -24,7 +24,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "pipeline/sharding.hpp"
+#include "pipeline/executor.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/supervisor.hpp"
 #include "sky/observation.hpp"
@@ -149,10 +149,11 @@ int main(int argc, char** argv) {
 
   std::vector<ScenarioResult> results;
   for (const Scenario& sc : scenarios) {
-    pipeline::ShardedOptions opts;
+    pipeline::ExecutorOptions opts;
     opts.workers = workers;
     opts.supervision = sc.policy;
-    const pipeline::ShardedDedisperser sharded(plan, config, opts);
+    const pipeline::Executor sharded(
+        plan, engine::encode_kernel_config(config), opts);
 
     Array2D<float> out(plan.dms(), plan.out_samples());
     const auto run = [&] {

@@ -2,7 +2,7 @@
 ///
 /// The sharded path exists to scale one plan across workers (and, later,
 /// devices): the number that matters is how throughput moves as the worker
-/// pool grows. For each worker count the bench runs the ShardedDedisperser
+/// pool grows. For each worker count the bench runs the pipeline::Executor
 /// over the identical input, checks the output is bitwise identical to the
 /// single-engine batch path, and reports measured GFLOP/s next to the
 /// planner's *modeled* speedup (modeled single-shard seconds / modeled
@@ -28,7 +28,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "pipeline/sharding.hpp"
+#include "pipeline/executor.hpp"
 #include "sky/observation.hpp"
 
 namespace {
@@ -124,9 +124,13 @@ int main(int argc, char** argv) {
     WorkerResult res;
     res.workers = workers;
 
-    pipeline::ShardedOptions opts;
+    pipeline::ExecutorOptions opts;
     opts.workers = workers;
-    const pipeline::ShardedDedisperser sharded(plan, config, opts);
+    // One worker runs inline with the engine's own threads; pin them to
+    // one so that row times a one-thread call, like every pool job.
+    opts.engine_options.cpu.threads = 1;
+    const pipeline::Executor sharded(
+        plan, engine::encode_kernel_config(config), opts);
     res.shards = sharded.shard_count();
     res.modeled_speedup =
         modeled_one / sharded.layout().modeled_max_seconds;

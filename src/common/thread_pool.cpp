@@ -59,9 +59,8 @@ void ThreadPool::parallel_for(
 
   // Each call gets its own completion latch and error slot. Waiting on the
   // pool-global in_flight_/first_error_ would make two concurrent
-  // parallel_for calls (e.g. multibeam over the global pool while a beam
-  // dedisperses) block on each other's tasks and steal each other's
-  // exceptions.
+  // parallel_for calls (e.g. two sessions sharing one executor) block on
+  // each other's tasks and steal each other's exceptions.
   struct CallState {
     std::mutex mutex;
     std::condition_variable done;

@@ -131,10 +131,11 @@ struct EngineRun {
 };
 
 /// Per-session aggregate of EngineRun artifacts. Every consumer that owns
-/// a sequence of engine executions (Dedisperser, ShardedDedisperser,
-/// StreamingDedisperser) accumulates one of these and exposes it via its
-/// telemetry() accessor, so traffic counters survive the sharded and
-/// streaming paths instead of being dropped at the first aggregation seam.
+/// a sequence of engine executions (Dedisperser and the streaming sessions,
+/// from the per-call totals pipeline::Executor returns) accumulates one of
+/// these and exposes it via its telemetry() accessor, so traffic counters
+/// survive the sharded and streaming paths instead of being dropped at the
+/// first aggregation seam.
 struct SessionTraffic {
   std::size_t runs = 0;          ///< engine executions aggregated
   std::size_t counter_runs = 0;  ///< runs that carried exact MemCounters

@@ -2,7 +2,7 @@
 
 #include "common/expect.hpp"
 #include "engine/registry.hpp"
-#include "pipeline/sharding.hpp"
+#include "pipeline/executor.hpp"
 
 namespace ddmc::pipeline {
 
@@ -19,26 +19,12 @@ Dedisperser Dedisperser::with_output_samples(const sky::Observation& obs,
 }
 
 Dedisperser::Dedisperser(dedisp::Plan plan, std::string engine)
-    : plan_(std::move(plan)), engine_id_(std::move(engine)) {
-  rebuild_engine();
-}
+    : plan_(std::move(plan)),
+      engine_(engine::make_engine(engine, engine_options_)) {}
 
 void Dedisperser::rebuild_engine() {
-  engine_ = engine::make_engine(engine_id_, engine_options_);
-  absorb_sharded();
-}
-
-void Dedisperser::absorb_sharded() {
-  if (sharded_) {
-    traffic_.merge(sharded_->telemetry());
-    sharded_.reset();
-  }
-}
-
-engine::SessionTraffic Dedisperser::telemetry() const {
-  engine::SessionTraffic total = traffic_;
-  if (sharded_) total.merge(sharded_->telemetry());
-  return total;
+  engine_ = engine::make_engine(engine_->id(), engine_options_);
+  executor_.reset();
 }
 
 tuner::TuningResult Dedisperser::tune_for(const ocl::DeviceModel& device) {
@@ -49,32 +35,26 @@ tuner::TuningResult Dedisperser::tune_for(const ocl::DeviceModel& device) {
   config_ = engine::restrict_to_axes(
       engine::encode_kernel_config(result.best.config),
       engine_->config_axes(plan_));
-  absorb_sharded();
   set_device(device);
   return result;
 }
 
 tuner::GuidedTuningOutcome Dedisperser::tune_cached(
     tuner::TuningCache& cache, tuner::GuidedTuningOptions options) {
-  if (options.engines.empty()) options.engines = {engine_id_};
+  if (options.engines.empty()) options.engines = {engine_->id()};
   options.engine_options = engine_options_;
   tuner::GuidedTuningOutcome outcome = tuner::tune_guided(plan_, cache, options);
   // Adopt the winner: the race's engine choice is part of the tuning
   // decision, so subsequent dedisperse() calls run it. The adoption must
   // honor the execution mode already selected — a winner that cannot
   // shard fails fast here, not inside a worker pool later.
-  if (outcome.engine_id != engine_id_) {
+  if (outcome.engine_id != engine_->id()) {
     auto adopted = engine::make_engine(outcome.engine_id, engine_options_);
-    DDMC_REQUIRE(execution_ == Execution::kSingle ||
-                     adopted->capabilities().supports_sharding,
-                 "tuned winner '" + outcome.engine_id +
-                     "' cannot run the selected DM-sharded execution: its "
-                     "capability supports_sharding is false");
-    engine_id_ = outcome.engine_id;
+    if (execution_ == Execution::kDmSharded) require_sharding(*adopted);
     engine_ = std::move(adopted);
   }
   config_ = outcome.config;
-  absorb_sharded();
+  executor_.reset();
   return outcome;
 }
 
@@ -83,13 +63,13 @@ void Dedisperser::set_config(const dedisp::KernelConfig& config) {
   // Legacy kernel-shaped configs degrade to the axes the engine declares.
   config_ = engine::restrict_to_axes(engine::encode_kernel_config(config),
                                      engine_->config_axes(plan_));
-  absorb_sharded();
+  executor_.reset();
 }
 
 void Dedisperser::set_config(const engine::EngineConfig& config) {
   engine_->validate_config(plan_, config);
   config_ = config;
-  absorb_sharded();
+  executor_.reset();
 }
 
 void Dedisperser::set_cpu_options(const dedisp::CpuKernelOptions& options) {
@@ -108,34 +88,26 @@ void Dedisperser::set_subband_config(const dedisp::SubbandConfig& config) {
 }
 
 void Dedisperser::set_execution(Execution execution, std::size_t workers) {
-  DDMC_REQUIRE(execution == Execution::kSingle ||
-                   engine_->capabilities().supports_sharding,
-               "engine '" + engine_id_ +
-                   "' cannot run DM-sharded execution: its capability "
-                   "supports_sharding is false");
+  if (execution == Execution::kDmSharded) require_sharding(*engine_);
   execution_ = execution;
   shard_workers_ = workers;
-  absorb_sharded();
+  executor_.reset();
 }
 
 Array2D<float> Dedisperser::dedisperse(ConstView2D<float> input) {
-  Array2D<float> out(plan_.dms(), plan_.out_samples());
-  counters_.reset();
-  if (execution_ == Execution::kDmSharded) {
-    if (!sharded_) {
-      ShardedOptions options;
-      options.workers = shard_workers_;
-      options.engine = engine_id_;
-      options.engine_options = engine_options_;
-      sharded_ = std::make_shared<const ShardedDedisperser>(
-          plan_, config_, std::move(options));
-    }
-    sharded_->dedisperse(input, out.view());
-  } else {
-    engine::EngineRun run = engine_->execute(plan_, config_, input, out.view());
-    counters_ = run.counters;
-    traffic_.add(run, plan_);
+  if (!executor_) {
+    ExecutorOptions options;
+    options.workers = execution_ == Execution::kDmSharded ? shard_workers_ : 1;
+    options.engine = engine_->id();
+    options.engine_options = engine_options_;
+    executor_ =
+        std::make_shared<const Executor>(plan_, config_, std::move(options));
   }
+  Array2D<float> out(plan_.dms(), plan_.out_samples());
+  const engine::SessionTraffic run = executor_->dedisperse(input, out.view());
+  counters_.reset();
+  if (run.counter_runs > 0) counters_ = run.counters;
+  traffic_.merge(run);
   return out;
 }
 

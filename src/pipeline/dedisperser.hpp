@@ -11,7 +11,8 @@
 ///   Array2D<float> out = dd.dedisperse(input.cview());
 /// \endcode
 ///
-/// Execution is delegated to a DedispEngine selected by registry id
+/// Execution runs through one pipeline::Executor (pipeline/executor.hpp)
+/// over a DedispEngine selected by registry id
 /// (engine/registry.hpp): `cpu_tiled` (the tuned SIMD host kernel, the
 /// default), `cpu_baseline`, `reference`, `subband`, `ocl_sim`, or any
 /// engine registered by downstream code. The Dedisperser never branches on
@@ -39,13 +40,15 @@
 
 namespace ddmc::pipeline {
 
-/// Execution mode, orthogonal to the engine: kSingle runs one engine call
-/// over the whole plan; kDmSharded partitions the DM grid across a worker
-/// pool (pipeline/sharding.hpp) with bitwise-identical output. Requires an
-/// engine whose capabilities report supports_sharding.
+/// Execution mode, orthogonal to the engine: it only sets the worker count
+/// of the Dedisperser's executor (pipeline/executor.hpp). kSingle runs one
+/// engine call over the whole plan on the caller's thread; kDmSharded
+/// partitions the DM grid across a worker pool with bitwise-identical
+/// output and requires an engine whose capabilities report
+/// supports_sharding.
 enum class Execution { kSingle, kDmSharded };
 
-class ShardedDedisperser;  // pipeline/sharding.hpp
+class Executor;  // pipeline/executor.hpp
 
 class Dedisperser {
  public:
@@ -60,7 +63,7 @@ class Dedisperser {
       std::string engine = engine::kDefaultEngineId);
 
   const dedisp::Plan& plan() const { return plan_; }
-  const std::string& engine_id() const { return engine_id_; }
+  const std::string& engine_id() const { return engine_->id(); }
   const engine::DedispEngine& engine() const { return *engine_; }
 
   /// Auto-tune the kernel configuration for \p device using the performance
@@ -107,8 +110,9 @@ class Dedisperser {
 
   /// Select the execution mode of dedisperse(). kDmSharded splits the DM
   /// grid into cost-balanced shards executed on \p workers pool threads
-  /// (0 = machine concurrency); throws ddmc::invalid_argument when the
-  /// engine's capabilities report !supports_sharding.
+  /// (0 = machine concurrency; one worker runs inline like kSingle);
+  /// throws ddmc::invalid_argument when the engine's capabilities report
+  /// !supports_sharding.
   void set_execution(Execution execution, std::size_t workers = 0);
   Execution execution() const { return execution_; }
   std::size_t shard_workers() const { return shard_workers_; }
@@ -126,32 +130,26 @@ class Dedisperser {
   /// this instance: runs, busy seconds, FLOP and bytes (exact counters
   /// where the engine reports them), including every shard job in
   /// kDmSharded mode.
-  engine::SessionTraffic telemetry() const;
+  const engine::SessionTraffic& telemetry() const { return traffic_; }
 
  private:
   Dedisperser(dedisp::Plan plan, std::string engine);
   /// Recreate the engine from engine_options_ (engines are immutable).
   void rebuild_engine();
-  /// Fold the live sharded executor's traffic into traffic_ and drop it —
-  /// called wherever sharded_ is invalidated so telemetry() never loses
-  /// the runs a discarded executor did.
-  void absorb_sharded();
 
   dedisp::Plan plan_;
-  std::string engine_id_;
   engine::EngineOptions engine_options_;
+  /// Validates configs and gates modes; the executor runs its own copy.
   std::shared_ptr<const engine::DedispEngine> engine_;
   /// Engine-native config; empty = the engine's defaults.
   engine::EngineConfig config_;
   Execution execution_ = Execution::kSingle;
   std::size_t shard_workers_ = 0;
-  /// Executor reused across dedisperse() calls in kDmSharded mode (built
-  /// lazily: worker pool + planner + shard plans are per-(plan, config,
-  /// workers), not per-call); invalidated by every setter that feeds it.
-  std::shared_ptr<const ShardedDedisperser> sharded_;
+  /// Built by the first dedisperse() after a setter (every setter drops
+  /// it) and reused across calls: its worker pool, planner and shard plans
+  /// are per-(plan, config, workers), not per call.
+  std::shared_ptr<const Executor> executor_;
   std::optional<ocl::MemCounters> counters_;
-  /// Single-path runs aggregate here; sharded runs aggregate inside the
-  /// executor (telemetry() merges both, surviving sharded_ invalidation).
   engine::SessionTraffic traffic_;
 };
 

@@ -1,10 +1,11 @@
-#include "pipeline/sharding.hpp"
+#include "pipeline/executor.hpp"
 
 #include <algorithm>
 #include <exception>
 #include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -153,97 +154,58 @@ ShardLayout DmShardPlanner::partition(std::size_t workers) const {
 
 // --------------------------------------------------------------- executor --
 
-ShardedOptions::ShardedOptions() : cost_device(ocl::intel_xeon_e5_2620()) {}
+ExecutorOptions::ExecutorOptions() : cost_device(ocl::intel_xeon_e5_2620()) {}
 
-ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
-                                       ShardedOptions options)
-    : plan_(std::move(plan)), options_(std::move(options)) {
-  // Shards × beams are the parallel dimension.
-  options_.engine_options.cpu.threads = 1;
-  engine_ = engine::make_engine(options_.engine, options_.engine_options);
-  DDMC_REQUIRE(engine_->capabilities().supports_sharding,
-               "engine '" + options_.engine +
+void require_sharding(const engine::DedispEngine& engine) {
+  DDMC_REQUIRE(engine.capabilities().supports_sharding,
+               "engine '" + engine.id() +
                    "' cannot run DM-sharded execution: its capability "
                    "supports_sharding is false");
-  pool_ = std::make_unique<ThreadPool>(options_.workers);
+}
+
+Executor::Executor(dedisp::Plan plan, engine::EngineConfig config,
+                   ExecutorOptions options)
+    : plan_(std::move(plan)),
+      config_(std::move(config)),
+      options_(std::move(options)),
+      workers_(options_.workers > 0
+                   ? options_.workers
+                   : std::max<std::size_t>(
+                         1, std::thread::hardware_concurrency())),
+      engine_(engine::make_engine(options_.engine, options_.engine_options)) {
+  engine_->validate_config(plan_, config_);
+  if (workers_ >= 2) {
+    engine::EngineOptions job_options = options_.engine_options;
+    job_options.cpu.threads = 1;  // beams × shards are the parallel dimension
+    job_engine_ = engine::make_engine(options_.engine, job_options);
+    pool_ = std::make_unique<ThreadPool>(workers_);
+  }
   telemetry::TraceSpan span("shard.plan");
   const DmShardPlanner planner(plan_, options_.cost_device);
-  layout_ = planner.partition(pool_->worker_count());
+  layout_ = planner.partition(
+      engine_->capabilities().supports_sharding ? workers_ : 1);
   span.arg("shards", layout_.shards.size()).arg("dms", plan_.dms());
   shard_plans_.reserve(layout_.shards.size());
+  shard_configs_.reserve(layout_.shards.size());
   for (const DmShard& s : layout_.shards) {
-    shard_plans_.push_back(plan_.dm_shard(s.first_dm, s.dms));
+    // One shard is the whole plan: share its delay table, copy nothing.
+    shard_plans_.push_back(s.dms == plan_.dms()
+                               ? plan_
+                               : plan_.dm_shard(s.first_dm, s.dms));
+    // Only the engine knows how its axes bend onto a shard's trial count —
+    // the tiled engines gcd-shrink their DM tile, the subband engine
+    // re-divides its coarse step — so adaptation is the engine's call.
+    shard_configs_.push_back(
+        engine_->adapt_config(shard_plans_.back(), config_));
   }
 }
 
-ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
-                                       engine::EngineConfig config,
-                                       ShardedOptions options)
-    : ShardedDedisperser(std::move(plan), std::move(options)) {
-  engine_->validate_config(plan_, config);
-  // Only the engine knows how its axes bend onto a shard's trial count —
-  // the tiled engines gcd-shrink their DM tile, the subband engine
-  // re-divides its coarse step — so adaptation is the engine's call.
-  shard_configs_.reserve(shard_plans_.size());
-  for (const dedisp::Plan& shard : shard_plans_) {
-    shard_configs_.push_back(engine_->adapt_config(shard, config));
-  }
-}
-
-ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
-                                       dedisp::KernelConfig config,
-                                       ShardedOptions options)
-    // Plan and options passed by copy, not moved: the delegated arguments
-    // are unsequenced and the restriction below reads both. A KernelConfig
-    // is the tiled engines' parameterization — an engine that does not
-    // declare those axes sheds them and runs its defaults.
-    : ShardedDedisperser(
-          plan,
-          engine::restrict_to_axes(
-              engine::encode_kernel_config(config),
-              engine::make_engine(options.engine, options.engine_options)
-                  ->config_axes(plan)),
-          options) {}
-
-ShardedDedisperser::ShardedDedisperser(dedisp::Plan plan,
-                                       tuner::TuningCache& cache,
-                                       ShardedOptions options,
-                                       tuner::GuidedTuningOptions tuning)
-    : ShardedDedisperser(std::move(plan), std::move(options)) {
-  if (tuning.engines.empty()) tuning.engines = {options_.engine};
-  tuning.engine_options = options_.engine_options;
-  // Several engines race once on the *full* plan and every shard adopts
-  // the winner: per-shard races could crown different engines on different
-  // shards, breaking the single-engine bitwise assembly guarantee.
-  if (tuning.engines.size() > 1) {
-    const tuner::GuidedTuningOutcome race =
-        tuner::tune_guided(plan_, cache, tuning);
-    if (race.engine_id != options_.engine) {
-      auto adopted =
-          engine::make_engine(race.engine_id, options_.engine_options);
-      DDMC_REQUIRE(adopted->capabilities().supports_sharding,
-                   "tuned winner '" + race.engine_id +
-                       "' cannot run DM-sharded execution: its capability "
-                       "supports_sharding is false");
-      options_.engine = race.engine_id;
-      engine_ = std::move(adopted);
-    }
-    tuning.engines = {options_.engine};
-  }
-  shard_configs_.reserve(shard_plans_.size());
-  tuning_outcomes_.reserve(shard_plans_.size());
-  for (const dedisp::Plan& shard : shard_plans_) {
-    tuner::GuidedTuningOutcome outcome =
-        tuner::tune_guided(shard, cache, tuning);
-    shard_configs_.push_back(engine_->adapt_config(shard, outcome.config));
-    tuning_outcomes_.push_back(std::move(outcome));
-  }
-}
-
-void ShardedDedisperser::run_batch(
+engine::SessionTraffic Executor::run_pool(
     const std::vector<ConstView2D<float>>& beams,
-    const std::vector<View2D<float>>& outs) const {
-  const std::size_t shards = shard_plans_.size();
+    const std::vector<View2D<float>>& outs,
+    const std::vector<dedisp::Plan>& plans,
+    const std::vector<engine::EngineConfig>& configs) const {
+  const std::size_t shards = plans.size();
   const std::size_t jobs = beams.size() * shards;
   const resilience::SupervisionPolicy& policy = options_.supervision;
 
@@ -265,7 +227,8 @@ void ShardedDedisperser::run_batch(
       registry.counter("ddmc.shard.reassignments_total");
   const auto failures_metric = registry.counter("ddmc.shard.failures_total");
   std::vector<resilience::ShardFailure> failures;
-  std::mutex state_mutex;  // guards failures from worker tasks
+  engine::SessionTraffic traffic;
+  std::mutex state_mutex;  // guards failures and traffic from worker tasks
 
   /// Output row range a (beam, shard, sub-range) job owns. Rows are only
   /// ever written by the engine call that finally succeeds on exactly that
@@ -306,10 +269,10 @@ void ShardedDedisperser::run_batch(
         span.arg("shard", shard).arg("beam", beam).arg("attempt", attempts);
         DDMC_FAILPOINT_CTX(failpoint, shard);
         const engine::EngineRun run =
-            engine_->execute(plan, config, beams[beam], rows);
+            job_engine_->execute(plan, config, beams[beam], rows);
         {
-          std::lock_guard<std::mutex> lock(report_mutex_);
-          traffic_.add(run, plan);
+          std::lock_guard<std::mutex> lock(state_mutex);
+          traffic.add(run, plan);
         }
         return std::nullopt;
       } catch (...) {
@@ -342,8 +305,7 @@ void ShardedDedisperser::run_batch(
       const std::size_t shard = j % shards;
       const DmShard& range = layout_.shards[shard];
       const auto failure =
-          attempt("shard.task", beam, shard, shard_plans_[shard],
-                  shard_configs_[shard],
+          attempt("shard.task", beam, shard, plans[shard], configs[shard],
                   rows_of(beam, range.first_dm, range.dms));
       if (failure) {
         std::lock_guard<std::mutex> lock(state_mutex);
@@ -375,11 +337,10 @@ void ShardedDedisperser::run_batch(
       }
       const DmShard& range = layout_.shards[shard];
       const std::size_t survivors =
-          std::max<std::size_t>(pool_->worker_count() - 1, 1);
+          std::max<std::size_t>(workers_ - 1, 1);
       const std::size_t splits =
           policy.reacquire_splits > 0 ? policy.reacquire_splits : survivors;
-      const DmShardPlanner sub_planner(shard_plans_[shard],
-                                       options_.cost_device);
+      const DmShardPlanner sub_planner(plans[shard], options_.cost_device);
       const ShardLayout sub_layout = sub_planner.partition(splits);
       {
         std::lock_guard<std::mutex> lock(report_mutex_);
@@ -394,10 +355,10 @@ void ShardedDedisperser::run_batch(
             for (std::size_t s = begin; s < end; ++s) {
               const DmShard& sub = sub_layout.shards[s];
               const dedisp::Plan sub_plan =
-                  shard_plans_[shard].dm_shard(sub.first_dm, sub.dms);
+                  plans[shard].dm_shard(sub.first_dm, sub.dms);
               const auto f = attempt(
                   "shard.reacquire.task", failure.beam, shard, sub_plan,
-                  engine_->adapt_config(sub_plan, shard_configs_[shard]),
+                  job_engine_->adapt_config(sub_plan, configs[shard]),
                   rows_of(failure.beam, range.first_dm + sub.first_dm,
                           sub.dms));
               if (f) {
@@ -426,46 +387,76 @@ void ShardedDedisperser::run_batch(
   if (!failures.empty()) {
     throw resilience::ShardExecutionError(std::move(failures));
   }
+  return traffic;
 }
 
-resilience::ShardExecutionReport ShardedDedisperser::last_report() const {
+resilience::ShardExecutionReport Executor::last_report() const {
   std::lock_guard<std::mutex> lock(report_mutex_);
   return last_report_;
 }
 
-engine::SessionTraffic ShardedDedisperser::telemetry() const {
-  std::lock_guard<std::mutex> lock(report_mutex_);
-  return traffic_;
-}
-
-void ShardedDedisperser::dedisperse(ConstView2D<float> input,
-                                    View2D<float> out) const {
-  DDMC_REQUIRE(out.rows() == plan_.dms(), "output rows != trial DMs");
-  DDMC_REQUIRE(out.cols() >= plan_.out_samples(), "output too short");
-  // Caller-side shape misuse fails synchronously; only *worker* failures
+engine::SessionTraffic Executor::run(
+    const std::vector<ConstView2D<float>>& beams,
+    const std::vector<View2D<float>>& outs, std::size_t out_samples) const {
+  DDMC_REQUIRE(!beams.empty(), "need at least one beam");
+  DDMC_REQUIRE(outs.size() == beams.size(), "need one output per beam");
+  DDMC_REQUIRE(out_samples > 0 && out_samples <= plan_.out_samples(),
+               "chunk must cover 1.." + std::to_string(plan_.out_samples()) +
+                   " output samples");
+  const bool full = out_samples == plan_.out_samples();
+  const dedisp::Plan chunk = full ? plan_ : plan_.with_chunk(out_samples);
+  // Caller-side shape misuse fails synchronously; only *job* failures
   // enter the supervision machinery (retry/reacquire/aggregate).
-  DDMC_REQUIRE(input.rows() == plan_.channels(), "input rows != plan channels");
-  DDMC_REQUIRE(input.cols() >= plan_.in_samples(),
-               "input holds too few samples for the plan");
-  run_batch({input}, {out});
+  for (std::size_t b = 0; b < beams.size(); ++b) {
+    // Messages are built only on failure.
+    const auto beam = [b] { return "beam " + std::to_string(b); };
+    DDMC_REQUIRE(beams[b].rows() == chunk.channels(),
+                 beam() + " has " + std::to_string(beams[b].rows()) +
+                     " rows, plan needs " + std::to_string(chunk.channels()) +
+                     " channels");
+    DDMC_REQUIRE(beams[b].cols() >= chunk.in_samples(),
+                 beam() + " holds " + std::to_string(beams[b].cols()) +
+                     " samples, plan needs in_samples = " +
+                     std::to_string(chunk.in_samples()));
+    DDMC_REQUIRE(outs[b].rows() == chunk.dms(),
+                 beam() + ": output rows != trial DMs");
+    DDMC_REQUIRE(outs[b].cols() >= out_samples,
+                 beam() + ": output too short");
+  }
+
+  const engine::EngineConfig config = full ? config_ : engine::EngineConfig{};
+  if (!pool_ || beams.size() * shard_count() == 1) {
+    // One worker (hence one shard) or a one-job grid: plain engine calls
+    // on the caller's thread with the caller's cpu.threads.
+    engine::SessionTraffic traffic;
+    for (std::size_t b = 0; b < beams.size(); ++b) {
+      traffic.add(engine_->execute(chunk, config, beams[b], outs[b]), chunk);
+    }
+    return traffic;
+  }
+  if (full) return run_pool(beams, outs, shard_plans_, shard_configs_);
+  std::vector<dedisp::Plan> plans;
+  plans.reserve(layout_.shards.size());
+  for (const DmShard& s : layout_.shards) {
+    plans.push_back(chunk.dm_shard(s.first_dm, s.dms));
+  }
+  return run_pool(beams, outs, plans,
+                  std::vector<engine::EngineConfig>(plans.size(), config));
 }
 
-Array2D<float> ShardedDedisperser::dedisperse(ConstView2D<float> input) const {
+engine::SessionTraffic Executor::dedisperse(ConstView2D<float> input,
+                                            View2D<float> out) const {
+  return run({input}, {out}, plan_.out_samples());
+}
+
+Array2D<float> Executor::dedisperse(ConstView2D<float> input) const {
   Array2D<float> out(plan_.dms(), plan_.out_samples());
   dedisperse(input, out.view());
   return out;
 }
 
-std::vector<Array2D<float>> ShardedDedisperser::dedisperse_batch(
+std::vector<Array2D<float>> Executor::dedisperse_batch(
     const std::vector<ConstView2D<float>>& beams) const {
-  DDMC_REQUIRE(!beams.empty(), "need at least one beam");
-  for (std::size_t b = 0; b < beams.size(); ++b) {
-    DDMC_REQUIRE(beams[b].rows() == plan_.channels(),
-                 "beam " + std::to_string(b) + " rows != plan channels");
-    DDMC_REQUIRE(beams[b].cols() >= plan_.in_samples(),
-                 "beam " + std::to_string(b) +
-                     " holds too few samples for the plan");
-  }
   std::vector<Array2D<float>> outputs;
   std::vector<View2D<float>> views;
   outputs.reserve(beams.size());
@@ -474,7 +465,7 @@ std::vector<Array2D<float>> ShardedDedisperser::dedisperse_batch(
     outputs.emplace_back(plan_.dms(), plan_.out_samples());
     views.push_back(outputs.back().view());
   }
-  run_batch(beams, views);
+  run(beams, views, plan_.out_samples());
   return outputs;
 }
 

@@ -33,7 +33,7 @@ SurveySizing size_survey(const ocl::DeviceModel& device,
       std::min(s.beams_per_device_compute, s.beams_per_device_memory);
   // A device slower than one beam-second per second is not infeasible —
   // several devices share one beam (cpus_needed's semantics; in practice
-  // each owns a DM shard, pipeline/sharding.hpp). Only a beam whose data
+  // each owns a DM shard, pipeline/executor.hpp). Only a beam whose data
   // cannot fit device memory has no deployment at all.
   s.feasible = s.beams_per_device_memory > 0;
   if (!s.feasible) return s;

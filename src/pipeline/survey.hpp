@@ -22,7 +22,7 @@ struct SurveySizing {
   double tuned_gflops = 0.0;       ///< tuned kernel throughput
   /// Fractional real-time compute pressure, 1 / seconds_per_beam: 9.4 means
   /// one device sustains 9 whole beams; 0.25 means four devices share one
-  /// beam (e.g. each owning a DM shard, pipeline/sharding.hpp).
+  /// beam (e.g. each owning a DM shard, pipeline/executor.hpp).
   double beams_per_device_realtime = 0.0;
   std::size_t beams_per_device_compute = 0;  ///< floor of the above
   std::size_t beams_per_device_memory = 0;   ///< device-memory limit

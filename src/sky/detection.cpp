@@ -68,4 +68,18 @@ DetectionResult detect_best_dm(ConstView2D<float> dedispersed) {
   return result;
 }
 
+BeamCandidate detect_best_beam(const std::vector<Array2D<float>>& beams) {
+  DDMC_REQUIRE(!beams.empty(), "need at least one beam");
+  BeamCandidate best;
+  best.detection.best_snr = -1.0;
+  for (std::size_t b = 0; b < beams.size(); ++b) {
+    const DetectionResult res = detect_best_dm(beams[b].cview());
+    if (res.best_snr > best.detection.best_snr) {
+      best.beam = b;
+      best.detection = res;
+    }
+  }
+  return best;
+}
+
 }  // namespace ddmc::sky

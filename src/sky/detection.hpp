@@ -9,6 +9,7 @@
 /// the reason the DM space cannot be pruned).
 
 #include <cstddef>
+#include <vector>
 
 #include "common/array2d.hpp"
 
@@ -27,5 +28,16 @@ struct DetectionResult {
 
 /// Scan every trial and report the strongest candidate.
 DetectionResult detect_best_dm(ConstView2D<float> dedispersed);
+
+/// Strongest candidate across the beams of one multi-beam observation.
+struct BeamCandidate {
+  std::size_t beam = 0;
+  DetectionResult detection;
+};
+
+/// Scan every beam's dedispersed matrix and report the strongest candidate.
+/// Equal peak S/N ties break deterministically to the lowest beam index
+/// (strictly greater S/N wins, beams scanned in order).
+BeamCandidate detect_best_beam(const std::vector<Array2D<float>>& beams);
 
 }  // namespace ddmc::sky

@@ -14,18 +14,10 @@ namespace ddmc::stream {
 
 namespace {
 
-/// Config for flush-time partial chunks, whose length is arbitrary and
-/// need not divide the tuned tile. The empty config means "the engine's
-/// defaults", which every engine accepts on every plan shape (the tiled
-/// engines run 1×1 tiles; subband re-adapts its split), and the
-/// bitwise-exact engines stay identical across configs, so only the final
-/// (typically short) chunk pays the untuned shape.
-engine::EngineConfig partial_chunk_config() { return engine::EngineConfig{}; }
-
 /// The one place StreamingOptions maps onto engine-factory options: every
-/// consumer site (session engine, sharded executors, per-chunk multi-beam)
-/// goes through here, so a new EngineOptions field is wired once, not at
-/// each site — missing one silently computes with defaults.
+/// consumer site (session executor, degradation target, tuning) goes
+/// through here, so a new EngineOptions field is wired once, not at each
+/// site — missing one silently computes with defaults.
 engine::EngineOptions engine_factory_options(const StreamingOptions& options) {
   engine::EngineOptions engine_options;
   engine_options.cpu = options.cpu;
@@ -33,17 +25,26 @@ engine::EngineOptions engine_factory_options(const StreamingOptions& options) {
   return engine_options;
 }
 
-/// Resolve the session's engine and gate on its streaming capability; the
-/// chunker widens its carried overlap by the engine's input_padding.
-std::shared_ptr<const engine::DedispEngine> streaming_engine(
+/// The session's executor over \p plan, gated on the engine's streaming
+/// capability — and on its sharding capability when shard_workers ≥ 2
+/// requests DM sharding. The chunker widens its carried overlap by the
+/// engine's input_padding.
+std::unique_ptr<const pipeline::Executor> session_executor(
+    const dedisp::Plan& plan, engine::EngineConfig config,
     const StreamingOptions& options) {
-  std::shared_ptr<const engine::DedispEngine> engine =
-      engine::make_engine(options.engine, engine_factory_options(options));
-  DDMC_REQUIRE(engine->capabilities().supports_streaming,
+  pipeline::ExecutorOptions executor;
+  executor.workers = options.shard_workers >= 2 ? options.shard_workers : 1;
+  executor.engine = options.engine;
+  executor.engine_options = engine_factory_options(options);
+  executor.supervision = options.shard_supervision;
+  auto built = std::make_unique<const pipeline::Executor>(
+      plan, std::move(config), std::move(executor));
+  DDMC_REQUIRE(built->engine().capabilities().supports_streaming,
                "engine '" + options.engine +
                    "' cannot run a streaming session: its capability "
                    "supports_streaming is false");
-  return engine;
+  if (options.shard_workers >= 2) pipeline::require_sharding(built->engine());
+  return built;
 }
 
 /// Carried-overlap width of a supervised session: when the watchdog can
@@ -74,7 +75,8 @@ engine::EngineConfig legacy_config(const dedisp::Plan& plan,
                                    const StreamingOptions& options) {
   return engine::restrict_to_axes(
       engine::encode_kernel_config(config),
-      streaming_engine(options)->config_axes(plan));
+      engine::make_engine(options.engine, engine_factory_options(options))
+          ->config_axes(plan));
 }
 
 }  // namespace
@@ -84,24 +86,14 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
                                            Sink sink,
                                            StreamingOptions options)
     : plan_(std::move(chunk_plan)),
-      config_(std::move(config)),
       sink_(std::move(sink)),
       options_(options),
-      engine_(streaming_engine(options_)),
-      chunker_(plan_, session_input_padding(options_, *engine_)),
+      executor_(session_executor(plan_, std::move(config), options_)),
+      chunker_(plan_, session_input_padding(options_, executor_->engine())),
       job_input_(plan_.channels(),
-                 plan_.in_samples() + session_input_padding(options_, *engine_)),
+                 plan_.in_samples() +
+                     session_input_padding(options_, executor_->engine())),
       out_full_(plan_.dms(), plan_.out_samples()) {
-  engine_->validate_config(plan_, config_);
-  if (options_.shard_workers >= 2) {
-    pipeline::ShardedOptions sharded;
-    sharded.workers = options_.shard_workers;
-    sharded.engine = options_.engine;
-    sharded.engine_options = engine_factory_options(options_);
-    sharded.supervision = options_.shard_supervision;
-    sharded_ = std::make_unique<pipeline::ShardedDedisperser>(
-        plan_, config_, std::move(sharded));
-  }
   health_.active_engine = options_.engine;
   auto& registry = telemetry::MetricsRegistry::instance();
   const telemetry::Labels session = {{"session", tracker_.session()}};
@@ -115,11 +107,19 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
   degradations_metric_ =
       registry.counter("ddmc.stream.degradations_total", session);
   if (options_.supervision.enabled && options_.supervision.degrade_after > 0) {
-    degrade_engine_id_ = resilience::select_degrade_engine(
-        options_.engine, options_.supervision);
-    if (!degrade_engine_id_.empty()) {
-      degrade_engine_ = engine::make_engine(degrade_engine_id_,
-                                            engine_factory_options(options_));
+    pipeline::ExecutorOptions degrade;
+    degrade.workers = 1;
+    degrade.engine = resilience::select_degrade_engine(options_.engine,
+                                                       options_.supervision);
+    degrade.engine_options = engine_factory_options(options_);
+    if (!degrade.engine.empty()) {
+      // The session config as the target engine adapts it (its defaults
+      // where the config does not apply).
+      const engine::EngineConfig config =
+          engine::make_engine(degrade.engine, degrade.engine_options)
+              ->adapt_config(plan_, executor_->config());
+      degrade_executor_ = std::make_unique<const pipeline::Executor>(
+          plan_, config, std::move(degrade));
     }
   }
   if (options_.async) {
@@ -294,10 +294,6 @@ void StreamingDedisperser::worker_loop() {
 void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
   const resilience::StreamPolicy& policy = options_.supervision;
   const bool full = job.out_samples == plan_.out_samples();
-  const dedisp::Plan plan =
-      full ? plan_ : plan_.with_chunk(job.out_samples);
-  const engine::EngineConfig config =
-      full ? config_ : partial_chunk_config();
   const double data_seconds = static_cast<double>(job.out_samples) /
                               plan_.observation().sampling_rate();
 
@@ -305,7 +301,7 @@ void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
   // should not allocate megabytes per chunk); only the final partial
   // flush, whose shape differs, allocates its own.
   Array2D<float> partial_out;
-  if (!full) partial_out = Array2D<float>(plan.dms(), plan.out_samples());
+  if (!full) partial_out = Array2D<float>(plan_.dms(), job.out_samples);
   const View2D<float> out = full ? out_full_.view() : partial_out.view();
 
   telemetry::TraceSpan chunk_span("stream.chunk");
@@ -318,20 +314,13 @@ void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
   // wall cost, which is what the ring feels.
   Stopwatch compute;
   std::size_t chunk_retries = 0;
-  bool single_run = false;
-  engine::EngineRun run;
+  engine::SessionTraffic traffic;
   for (;;) {
     try {
       DDMC_FAILPOINT_CTX("stream.chunk", job.index);
-      if (full && sharded_ && !degraded_) {
-        sharded_->dedisperse(input, out);
-        single_run = false;
-      } else {
-        const engine::DedispEngine& engine =
-            degraded_ ? *degrade_engine_ : *engine_;
-        run = engine.execute(plan, config, input, out);
-        single_run = true;
-      }
+      const pipeline::Executor& executor =
+          degraded_ ? *degrade_executor_ : *executor_;
+      traffic = executor.run({input}, {out}, job.out_samples);
       break;
     } catch (...) {
       const std::exception_ptr err = std::current_exception();
@@ -381,7 +370,7 @@ void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
   std::unique_lock<std::mutex> lock(mutex_);
   tracker_.record(chunk.timing);
   ++emitted_;
-  if (single_run) traffic_.add(run, plan);
+  traffic_.merge(traffic);
   // Rung 3 pressure — the deadline is the real-time-margin criterion per
   // chunk: factor × data seconds of compute budget. An overrun still
   // delivered (late science beats no science) but pushes the session
@@ -417,7 +406,7 @@ void StreamingDedisperser::skip_chunk_with_gap(const Job& job,
 
 void StreamingDedisperser::degrade_pressure(std::unique_lock<std::mutex>&) {
   ++pressure_streak_;
-  if (degraded_ || !degrade_engine_ ||
+  if (degraded_ || !degrade_executor_ ||
       options_.supervision.degrade_after == 0 ||
       pressure_streak_ < options_.supervision.degrade_after) {
     return;
@@ -430,7 +419,7 @@ void StreamingDedisperser::degrade_pressure(std::unique_lock<std::mutex>&) {
   telemetry::Tracer::instance().record_instant("stream.degrade",
                                                telemetry::Tracer::now_ns());
   health_.degraded = true;
-  health_.active_engine = degrade_engine_id_;
+  health_.active_engine = degrade_executor_->engine().id();
 }
 
 resilience::StreamHealth StreamingDedisperser::health() const {
@@ -456,9 +445,7 @@ resilience::StreamHealth StreamingDedisperser::health() const {
 
 engine::SessionTraffic StreamingDedisperser::telemetry() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  engine::SessionTraffic total = traffic_;
-  if (sharded_) total.merge(sharded_->telemetry());
-  return total;
+  return traffic_;
 }
 
 void StreamingDedisperser::close() {
@@ -505,36 +492,17 @@ MultiBeamStreamingDedisperser::MultiBeamStreamingDedisperser(
     dedisp::Plan chunk_plan, engine::EngineConfig config, std::size_t beams,
     Sink sink, StreamingOptions options)
     : plan_(std::move(chunk_plan)),
-      config_(std::move(config)),
       sink_(std::move(sink)),
       options_(options),
-      engine_(streaming_engine(options_)) {
+      executor_(session_executor(plan_, std::move(config), options_)) {
   DDMC_REQUIRE(beams > 0, "need at least one beam");
-  engine_->validate_config(plan_, config_);
-  if (options_.shard_workers >= 2) {
-    pipeline::ShardedOptions sharded;
-    sharded.workers = options_.shard_workers;
-    sharded.engine = options_.engine;
-    sharded.engine_options = engine_factory_options(options_);
-    sharded.supervision = options_.shard_supervision;
-    sharded_ = std::make_unique<pipeline::ShardedDedisperser>(
-        plan_, config_, std::move(sharded));
-  }
-  const std::size_t padding = engine_->capabilities().input_padding;
+  const std::size_t padding =
+      executor_->engine().capabilities().input_padding;
   chunkers_.reserve(beams);
   for (std::size_t b = 0; b < beams; ++b) {
     chunkers_.emplace_back(plan_, padding);
   }
 }
-
-MultiBeamStreamingDedisperser::MultiBeamStreamingDedisperser(
-    dedisp::Plan chunk_plan, dedisp::KernelConfig config, std::size_t beams,
-    Sink sink, StreamingOptions options)
-    // Plan and options copied, not moved: the delegated arguments are
-    // unsequenced and legacy_config reads both.
-    : MultiBeamStreamingDedisperser(chunk_plan,
-                                    legacy_config(chunk_plan, config, options),
-                                    beams, std::move(sink), options) {}
 
 void MultiBeamStreamingDedisperser::push(
     const std::vector<ConstView2D<float>>& beam_samples) {
@@ -558,7 +526,7 @@ void MultiBeamStreamingDedisperser::push(
       std::vector<ConstView2D<float>> windows;
       windows.reserve(beams());
       for (const auto& c : chunkers_) windows.push_back(c.chunk_input());
-      run_chunk(plan_, config_, windows, chunkers_[0].chunk_index(),
+      run_chunk(windows, plan_.out_samples(), chunkers_[0].chunk_index(),
                 chunkers_[0].first_out_sample());
       for (auto& c : chunkers_) c.advance();
     }
@@ -573,58 +541,34 @@ void MultiBeamStreamingDedisperser::close() {
   std::vector<ConstView2D<float>> windows;
   windows.reserve(beams());
   for (const auto& c : chunkers_) windows.push_back(c.partial_input());
-  run_chunk(plan_.with_chunk(pending), partial_chunk_config(), windows,
-            chunkers_[0].chunk_index(), chunkers_[0].first_out_sample());
-}
-
-engine::SessionTraffic MultiBeamStreamingDedisperser::telemetry() const {
-  return sharded_ ? sharded_->telemetry() : engine::SessionTraffic{};
+  run_chunk(windows, pending, chunkers_[0].chunk_index(),
+            chunkers_[0].first_out_sample());
 }
 
 void MultiBeamStreamingDedisperser::run_chunk(
-    const dedisp::Plan& plan, const engine::EngineConfig& config,
-    const std::vector<ConstView2D<float>>& windows, std::size_t index,
-    std::size_t first_sample) {
+    const std::vector<ConstView2D<float>>& windows, std::size_t out_samples,
+    std::size_t index, std::size_t first_sample) {
   const double assembled_at = session_clock_.seconds();
-  // Full chunks reuse the session's sharded executor; the final partial
-  // chunk (different plan shape) takes the beam-parallel path, whose
-  // output is bitwise identical anyway.
-  const bool use_sharded =
-      sharded_ && plan.out_samples() == plan_.out_samples();
   Stopwatch compute;
   std::vector<Array2D<float>> outputs;
-  if (use_sharded) {
-    outputs = sharded_->dedisperse_batch(windows);
-  } else {
-    // The session's full factory options ride along, so e.g. a configured
-    // subband split reaches the per-beam engines, not just the gate.
-    pipeline::MultiBeamDedisperser mb(plan, config, options_.engine,
-                                      engine_factory_options(options_));
-    outputs = mb.dedisperse(windows, options_.cpu.threads);
+  std::vector<View2D<float>> views;
+  outputs.reserve(windows.size());
+  views.reserve(windows.size());
+  for (std::size_t b = 0; b < windows.size(); ++b) {
+    outputs.emplace_back(plan_.dms(), out_samples);
+    views.push_back(outputs.back().view());
   }
+  traffic_.merge(executor_->run(windows, views, out_samples));
 
   MultiBeamStreamChunk chunk;
   chunk.index = index;
   chunk.first_sample = first_sample;
-  chunk.out_samples = plan.out_samples();
+  chunk.out_samples = out_samples;
   chunk.outputs = &outputs;
-  if (options_.detect) {
-    // Same scan and tie-break as MultiBeamDedisperser::search: strictly
-    // greater S/N wins, so ties go to the lowest beam index.
-    pipeline::MultiBeamDedisperser::BeamCandidate best;
-    best.detection.best_snr = -1.0;
-    for (std::size_t b = 0; b < outputs.size(); ++b) {
-      const sky::DetectionResult res = sky::detect_best_dm(outputs[b].cview());
-      if (res.best_snr > best.detection.best_snr) {
-        best.beam = b;
-        best.detection = res;
-      }
-    }
-    chunk.candidate = best;
-  }
+  if (options_.detect) chunk.candidate = sky::detect_best_beam(outputs);
   chunk.timing.compute_seconds = compute.seconds();
-  chunk.timing.data_seconds = static_cast<double>(plan.out_samples()) /
-                              plan.observation().sampling_rate();
+  chunk.timing.data_seconds = static_cast<double>(out_samples) /
+                              plan_.observation().sampling_rate();
   chunk.timing.latency_seconds = session_clock_.seconds() - assembled_at;
   if (sink_) sink_(chunk);
   tracker_.record(chunk.timing);

@@ -8,7 +8,8 @@
 ///
 ///   ring (bounded, backpressure)          [optional, consume()]
 ///     └─ OverlapChunker                   assembles overlap-carry windows
-///          └─ DedispEngine                any streaming-capable engine
+///          └─ pipeline::Executor          any streaming-capable engine,
+///               │                         optionally DM-sharded
 ///               └─ sink callback          dms × chunk output (+ detection)
 ///
 /// The engine is selected by registry id (StreamingOptions::engine); a
@@ -42,8 +43,7 @@
 #include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
 #include "engine/engine.hpp"
-#include "pipeline/multibeam.hpp"
-#include "pipeline/sharding.hpp"
+#include "pipeline/executor.hpp"
 #include "resilience/supervisor.hpp"
 #include "sky/detection.hpp"
 #include "stream/chunker.hpp"
@@ -84,14 +84,15 @@ struct StreamingOptions {
   /// assembly; false runs chunks inline on the pushing thread
   /// (deterministic profiling, tests).
   bool async = true;
-  /// ≥ 2: each full chunk's DM grid is sharded across this many pool
-  /// workers (pipeline::ShardedDedisperser) behind the existing double
-  /// buffer, instead of one engine call; 0/1 keeps the single engine.
-  /// Output stays bitwise identical either way. Additionally requires the
-  /// engine's supports_sharding capability.
+  /// ≥ 2: each chunk's DM grid (× beams, for a multi-beam session) is
+  /// sharded across this many pool workers of the session's
+  /// pipeline::Executor, behind the existing double buffer; 0/1 runs one
+  /// engine call per beam on the computing thread. Output stays bitwise
+  /// identical either way. Additionally requires the engine's
+  /// supports_sharding capability.
   std::size_t shard_workers = 0;
-  /// Supervision of the sharded executor's worker jobs (shard_workers
-  /// >= 2): per-shard bounded retry, optionally reacquisition. The default
+  /// Supervision of the executor's pool jobs (shard_workers >= 2):
+  /// per-shard bounded retry, optionally reacquisition. The default
   /// (one attempt) fails the whole chunk on the first shard error, leaving
   /// recovery to the chunk-level watchdog below; a shard-level retry budget
   /// absorbs transient faults without repeating the chunk's other shards.
@@ -179,8 +180,8 @@ class StreamingDedisperser {
   resilience::StreamHealth health() const;
 
   /// Whole-session traffic aggregate: EngineRun counters and busy seconds
-  /// over every chunk, including the DM-sharded executor's jobs when
-  /// StreamingOptions::shard_workers routes full chunks through it.
+  /// over every engine call of every chunk (each shard job when
+  /// StreamingOptions::shard_workers shards the chunks).
   engine::SessionTraffic telemetry() const;
 
   /// The session label this session's registry metrics carry.
@@ -233,21 +234,16 @@ class StreamingDedisperser {
   void rethrow_pending_error();
 
   dedisp::Plan plan_;
-  engine::EngineConfig config_;
   Sink sink_;
   StreamingOptions options_;
-  std::shared_ptr<const engine::DedispEngine> engine_;
+  /// Runs every chunk, the final partial one included.
+  std::unique_ptr<const pipeline::Executor> executor_;
   /// Prebuilt degradation target (supervision enabled and a capable,
-  /// cheaper engine exists); building it up front means the switch is a
-  /// pointer swap on the compute path, never a mid-session factory call
-  /// that could itself fail.
-  std::shared_ptr<const engine::DedispEngine> degrade_engine_;
-  std::string degrade_engine_id_;
+  /// cheaper engine exists), run inline; building it up front means the
+  /// switch is a pointer swap on the compute path, never a mid-session
+  /// factory call that could itself fail.
+  std::unique_ptr<const pipeline::Executor> degrade_executor_;
   std::optional<tuner::GuidedTuningOutcome> tuning_outcome_;
-  /// Sharded executor for full chunks (options_.shard_workers ≥ 2); the
-  /// final partial chunk keeps the single-engine 1×1 path, whose output is
-  /// bitwise identical anyway.
-  std::unique_ptr<pipeline::ShardedDedisperser> sharded_;
   OverlapChunker chunker_;
   Stopwatch session_clock_;
   LatencyTracker tracker_;  // guarded by mutex_ in async mode
@@ -294,27 +290,24 @@ struct MultiBeamStreamChunk {
   std::size_t out_samples = 0;
   /// outputs[beam] is dms × out_samples; valid only during the sink call.
   const std::vector<Array2D<float>>* outputs = nullptr;
-  std::optional<pipeline::MultiBeamDedisperser::BeamCandidate> candidate;
+  std::optional<sky::BeamCandidate> candidate;
   ChunkTiming timing;
 };
 
 /// Multi-beam streaming session: one overlap-carry chunker per beam, fed in
-/// lockstep, dedispersed with the MultiBeamDedisperser decomposition (beams
-/// are the parallel dimension over the worker pool). Synchronous: chunks
-/// run on the pushing thread, which is itself typically one consumer thread
-/// of a beam-former.
+/// lockstep; each chunk runs as one beams × DM-shards grid on the session's
+/// pipeline::Executor (StreamingOptions::shard_workers sizes its pool;
+/// without one, beams run one after another with the session's
+/// cpu.threads). Synchronous: chunks run on the pushing thread, which is
+/// itself typically one consumer thread of a beam-former.
 class MultiBeamStreamingDedisperser {
  public:
   using Sink = std::function<void(const MultiBeamStreamChunk&)>;
 
+  /// \p config must validate against \p chunk_plan on the selected engine
+  /// (engine-native axes; empty = the engine's defaults).
   MultiBeamStreamingDedisperser(dedisp::Plan chunk_plan,
                                 engine::EngineConfig config,
-                                std::size_t beams, Sink sink,
-                                StreamingOptions options = {});
-
-  /// Kernel-shape convenience: \p config re-encoded as the kernel axes.
-  MultiBeamStreamingDedisperser(dedisp::Plan chunk_plan,
-                                dedisp::KernelConfig config,
                                 std::size_t beams, Sink sink,
                                 StreamingOptions options = {});
 
@@ -331,24 +324,22 @@ class MultiBeamStreamingDedisperser {
   std::size_t chunks_emitted() const { return emitted_; }
   LatencyReport latency() const { return tracker_.report(); }
 
-  /// Traffic aggregate of the session's sharded executor (full chunks when
-  /// shard_workers ≥ 2); the beam-parallel path does not report EngineRuns.
-  engine::SessionTraffic telemetry() const;
+  /// Traffic aggregate over every engine call of every chunk, the final
+  /// partial one included.
+  const engine::SessionTraffic& telemetry() const { return traffic_; }
 
  private:
-  void run_chunk(const dedisp::Plan& plan, const engine::EngineConfig& config,
-                 const std::vector<ConstView2D<float>>& windows,
-                 std::size_t index, std::size_t first_sample);
+  void run_chunk(const std::vector<ConstView2D<float>>& windows,
+                 std::size_t out_samples, std::size_t index,
+                 std::size_t first_sample);
 
   dedisp::Plan plan_;
-  engine::EngineConfig config_;
   Sink sink_;
   StreamingOptions options_;
-  std::shared_ptr<const engine::DedispEngine> engine_;
-  /// Sharded executor reused by every full chunk (shard_workers ≥ 2);
-  /// per-chunk construction would pay pool spawn + planning each time.
-  std::unique_ptr<pipeline::ShardedDedisperser> sharded_;
+  /// Runs every chunk; built once, so no chunk pays pool spawn + planning.
+  std::unique_ptr<const pipeline::Executor> executor_;
   std::vector<OverlapChunker> chunkers_;
+  engine::SessionTraffic traffic_;
   Stopwatch session_clock_;
   LatencyTracker tracker_;
   std::size_t emitted_ = 0;

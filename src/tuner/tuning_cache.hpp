@@ -114,9 +114,9 @@ struct CacheEntry {
 /// eagerly at construction and rewrite the file on every store (caches are
 /// small — one row per (host, plan) pair).
 ///
-/// Thread-safe for concurrent lookups and stores on one instance: the
-/// sharded executor's workers tune per-shard plans against a shared cache,
-/// so every operation holds an internal mutex, and the file is rewritten
+/// Thread-safe for concurrent lookups and stores on one instance: sessions
+/// on several threads may tune against a shared cache, so every operation
+/// holds an internal mutex, and the file is rewritten
 /// via a temp file + atomic rename — a concurrent reader (or a crash
 /// mid-write) sees either the old or the new complete file, never an
 /// interleaved/truncated CSV. Distinct *processes* writing one path still

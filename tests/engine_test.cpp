@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,7 +25,7 @@
 #include "dedisp/subband.hpp"
 #include "engine/registry.hpp"
 #include "pipeline/dedisperser.hpp"
-#include "pipeline/sharding.hpp"
+#include "pipeline/executor.hpp"
 #include "stream/streaming_dedisperser.hpp"
 #include "test_util.hpp"
 #include "tuner/tuning_cache.hpp"
@@ -735,7 +736,7 @@ TEST(EngineStreaming, MultiBeamSubbandSessionHonorsTheConfiguredSplit) {
   options.engine = "subband";
   options.subband = split;
   stream::MultiBeamStreamingDedisperser session(
-      chunk_plan, KernelConfig{1, 1, 1, 1}, /*beams=*/2,
+      chunk_plan, EngineConfig{}, /*beams=*/2,
       [&](const stream::MultiBeamStreamChunk& chunk) {
         const Array2D<float>& beam0 = (*chunk.outputs)[0];
         for (std::size_t dm = 0; dm < dms; ++dm) {
@@ -810,11 +811,10 @@ TEST(EngineSharding, CapableEnginesShardConsistently) {
         id == "fdmt" ? equivalence_bound(*engine, plan) : 0.0;
     for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      pipeline::ShardedOptions options;
+      pipeline::ExecutorOptions options;
       options.workers = workers;
       options.engine = id;
-      const pipeline::ShardedDedisperser sharded(
-          plan, KernelConfig{1, 1, 1, 1}, options);
+      const pipeline::Executor sharded(plan, EngineConfig{}, options);
       const Array2D<float> got = sharded.dedisperse(in.cview());
       if (bound == 0.0) {
         expect_same_matrix(expected, got);
@@ -830,20 +830,37 @@ TEST(EngineSharding, CapableEnginesShardConsistently) {
   }
 }
 
-TEST(EngineSharding, NonShardableEngineIsRejectedWithTheCapabilityName) {
+TEST(EngineSharding, ShardedStreamingRejectsANonShardableEngine) {
+  // The executor runs any engine beam-parallel; requesting DM sharding is
+  // what needs the capability, so the streaming front door that requests
+  // it (shard_workers >= 2) rejects the engine, naming the capability.
   const Plan plan = testing::mini_plan(8, 64);
-  pipeline::ShardedOptions options;
-  options.workers = 2;
+  stream::StreamingOptions options;
+  options.shard_workers = 2;
   options.engine = "subband";
-  try {
-    const pipeline::ShardedDedisperser sharded(plan, KernelConfig{1, 1, 1, 1},
-                                               options);
-    FAIL() << "sharded executor accepted an engine without supports_sharding";
-  } catch (const invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("supports_sharding"), std::string::npos) << what;
-    EXPECT_NE(what.find("subband"), std::string::npos) << what;
-  }
+  const auto expect_rejected = [](const std::function<void()>& build) {
+    try {
+      build();
+      FAIL() << "sharded session accepted an engine without "
+                "supports_sharding";
+    } catch (const invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("supports_sharding"), std::string::npos) << what;
+      EXPECT_NE(what.find("subband"), std::string::npos) << what;
+    }
+  };
+  expect_rejected([&] {
+    stream::StreamingDedisperser session(plan, EngineConfig{}, nullptr,
+                                         options);
+  });
+  expect_rejected([&] {
+    stream::MultiBeamStreamingDedisperser session(plan, EngineConfig{}, 2,
+                                                  nullptr, options);
+  });
+  // Without the sharding request the same engine streams.
+  options.shard_workers = 0;
+  EXPECT_NO_THROW(stream::StreamingDedisperser(plan, EngineConfig{}, nullptr,
+                                               options));
 }
 
 // -------------------------------------------------------- cross-engine tune --

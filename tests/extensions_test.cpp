@@ -1,6 +1,6 @@
 // Tests for the extension modules: subband (two-stage) dedispersion, the
 // wall-clock host sweep (ExhaustiveSearch over a HostKernelEvaluator), and
-// multi-beam processing.
+// multi-beam processing (the executor's beam batch + sky::detect_best_beam).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 #include "dedisp/reference.hpp"
 #include "dedisp/subband.hpp"
 #include "engine/registry.hpp"
-#include "pipeline/multibeam.hpp"
+#include "pipeline/executor.hpp"
 #include "sky/detection.hpp"
 #include "sky/signal.hpp"
 #include "test_util.hpp"
@@ -219,9 +219,19 @@ TEST(HostTuner, RejectsZeroRepetitions) {
 
 // -------------------------------------------------------------- multibeam --
 
+/// Beam-batch executor over \p plan on \p workers workers (1 = beams one
+/// after another on the caller's thread).
+pipeline::Executor beam_executor(const Plan& plan, const KernelConfig& config,
+                                 std::size_t workers) {
+  pipeline::ExecutorOptions options;
+  options.workers = workers;
+  return pipeline::Executor(plan, engine::encode_kernel_config(config),
+                            options);
+}
+
 TEST(MultiBeam, EveryBeamMatchesTheReference) {
   const Plan plan = testing::mini_plan(8, 64);
-  pipeline::MultiBeamDedisperser mb(plan, KernelConfig{8, 2, 4, 2});
+  const pipeline::Executor mb = beam_executor(plan, KernelConfig{8, 2, 4, 2}, 2);
 
   std::vector<Array2D<float>> beam_data;
   std::vector<ConstView2D<float>> views;
@@ -230,7 +240,7 @@ TEST(MultiBeam, EveryBeamMatchesTheReference) {
   }
   for (const auto& b : beam_data) views.push_back(b.cview());
 
-  const std::vector<Array2D<float>> outputs = mb.dedisperse(views, 2);
+  const std::vector<Array2D<float>> outputs = mb.dedisperse_batch(views);
   ASSERT_EQ(outputs.size(), 3u);
   for (std::size_t b = 0; b < 3; ++b) {
     const Array2D<float> expected =
@@ -242,7 +252,8 @@ TEST(MultiBeam, EveryBeamMatchesTheReference) {
 TEST(MultiBeam, SearchFindsTheBeamWithThePulsar) {
   const sky::Observation obs = mini_obs();
   const Plan plan = Plan::with_output_samples(obs, 8, 128);
-  pipeline::MultiBeamDedisperser mb(plan, KernelConfig{16, 2, 4, 2});
+  const pipeline::Executor mb =
+      beam_executor(plan, KernelConfig{16, 2, 4, 2}, 2);
 
   sky::NoiseParams noise;
   noise.sigma = 0.5;
@@ -264,24 +275,23 @@ TEST(MultiBeam, SearchFindsTheBeamWithThePulsar) {
   std::vector<ConstView2D<float>> views;
   for (const auto& b : beams) views.push_back(b.cview());
 
-  const auto candidate = mb.search(views, 2);
+  const sky::BeamCandidate candidate =
+      sky::detect_best_beam(mb.dedisperse_batch(views));
   EXPECT_EQ(candidate.beam, 2u);
   EXPECT_GT(candidate.detection.best_snr, 5.0);
 }
 
 TEST(MultiBeam, ValidatesConfigAndInput) {
   const Plan plan = testing::mini_plan(8, 64);
-  EXPECT_THROW(
-      pipeline::MultiBeamDedisperser(plan, KernelConfig{5, 1, 1, 1}),
-      config_error);
-  pipeline::MultiBeamDedisperser mb(plan, KernelConfig{8, 2, 4, 2});
-  EXPECT_THROW(mb.dedisperse({}), invalid_argument);
-  EXPECT_THROW(mb.search({}), invalid_argument);
+  EXPECT_THROW(beam_executor(plan, KernelConfig{5, 1, 1, 1}, 2), config_error);
+  const pipeline::Executor mb = beam_executor(plan, KernelConfig{8, 2, 4, 2}, 2);
+  EXPECT_THROW(mb.dedisperse_batch({}), invalid_argument);
+  EXPECT_THROW(sky::detect_best_beam({}), invalid_argument);
 }
 
 TEST(MultiBeam, RejectsMismatchedBeamShapesBeforeDispatch) {
   const Plan plan = testing::mini_plan(8, 64);
-  pipeline::MultiBeamDedisperser mb(plan, KernelConfig{8, 2, 4, 2});
+  const pipeline::Executor mb = beam_executor(plan, KernelConfig{8, 2, 4, 2}, 2);
 
   const Array2D<float> good = random_input(plan);
   Array2D<float> short_beam(plan.channels(), plan.in_samples() - 1);
@@ -290,13 +300,13 @@ TEST(MultiBeam, RejectsMismatchedBeamShapesBeforeDispatch) {
   // A beam with too few samples is rejected up front (with the beam index
   // in the message), not from inside a worker thread.
   try {
-    mb.dedisperse({good.cview(), short_beam.cview()});
+    mb.dedisperse_batch({good.cview(), short_beam.cview()});
     FAIL() << "expected invalid_argument";
   } catch (const invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("beam 1"), std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(mb.dedisperse({wrong_channels.cview(), good.cview()}),
+  EXPECT_THROW(mb.dedisperse_batch({wrong_channels.cview(), good.cview()}),
                invalid_argument);
 }
 
@@ -304,13 +314,15 @@ TEST(MultiBeam, SearchTieBreaksToTheLowestBeamIndex) {
   // Identical beams produce identical (bitwise) outputs and hence exactly
   // equal peak S/N — the candidate must deterministically be beam 0.
   const Plan plan = testing::mini_plan(8, 64);
-  pipeline::MultiBeamDedisperser mb(plan, KernelConfig{8, 2, 4, 2});
   const Array2D<float> data = random_input(plan);
   const std::vector<ConstView2D<float>> beams = {
       data.cview(), data.cview(), data.cview()};
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    const auto candidate = mb.search(beams, threads);
-    EXPECT_EQ(candidate.beam, 0u) << "threads=" << threads;
+  for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    const pipeline::Executor mb =
+        beam_executor(plan, KernelConfig{8, 2, 4, 2}, workers);
+    const sky::BeamCandidate candidate =
+        sky::detect_best_beam(mb.dedisperse_batch(beams));
+    EXPECT_EQ(candidate.beam, 0u) << "workers=" << workers;
   }
 }
 

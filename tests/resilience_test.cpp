@@ -21,7 +21,7 @@
 #include "common/expect.hpp"
 #include "dedisp/cpu_kernel.hpp"
 #include "engine/registry.hpp"
-#include "pipeline/sharding.hpp"
+#include "pipeline/executor.hpp"
 #include "resilience/error.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/supervisor.hpp"
@@ -215,11 +215,12 @@ TEST(SupervisedSharding, FaultAtEveryShardPositionIsAbsorbedBitwise) {
   const KernelConfig config{5, 2, 4, 2};
   const Array2D<float> expected = single_engine(plan, config, input);
 
-  pipeline::ShardedOptions opts;
+  pipeline::ExecutorOptions opts;
   opts.workers = 3;
   opts.supervision.retry.max_attempts = 2;
   opts.supervision.retry.backoff_seconds = 0.0;
-  const pipeline::ShardedDedisperser sharded(plan, config, opts);
+  const pipeline::Executor sharded(
+      plan, engine::encode_kernel_config(config), opts);
 
   for (std::size_t shard = 0; shard < sharded.shard_count(); ++shard) {
     SCOPED_TRACE("fault at shard " + std::to_string(shard));
@@ -246,13 +247,14 @@ TEST(SupervisedSharding, DeadWorkerShardIsReacquiredBitwise) {
   const KernelConfig config{5, 2, 4, 2};
   const Array2D<float> expected = single_engine(plan, config, input);
 
-  pipeline::ShardedOptions opts;
+  pipeline::ExecutorOptions opts;
   opts.workers = 3;
   opts.supervision.retry.max_attempts = 2;
   opts.supervision.retry.backoff_seconds = 0.0;
   opts.supervision.reacquire = true;
   opts.supervision.reacquire_splits = 2;
-  const pipeline::ShardedDedisperser sharded(plan, config, opts);
+  const pipeline::Executor sharded(
+      plan, engine::encode_kernel_config(config), opts);
 
   for (std::size_t shard = 0; shard < sharded.shard_count(); ++shard) {
     SCOPED_TRACE("dead worker at shard " + std::to_string(shard));
@@ -274,12 +276,12 @@ TEST(SupervisedSharding, DeadWorkerShardIsReacquiredBitwise) {
 TEST(SupervisedSharding, ExhaustionAggregatesEveryFailedShard) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
   const Array2D<float> input = random_input(plan);
-  pipeline::ShardedOptions opts;
+  pipeline::ExecutorOptions opts;
   opts.workers = 3;
   opts.supervision.retry.max_attempts = 2;
   opts.supervision.retry.backoff_seconds = 0.0;
-  const pipeline::ShardedDedisperser sharded(plan, KernelConfig{1, 1, 1, 1},
-                                             opts);
+  const pipeline::Executor sharded(
+      plan, engine::encode_kernel_config(KernelConfig{1, 1, 1, 1}), opts);
 
   FaultSpec spec;
   spec.max_fires = 0;  // context-free: every shard's every attempt fails
@@ -307,13 +309,13 @@ TEST(SupervisedSharding, ExhaustionAggregatesEveryFailedShard) {
 TEST(SupervisedSharding, FatalErrorsAreNeitherRetriedNorReacquired) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 8, 60);
   const Array2D<float> input = random_input(plan);
-  pipeline::ShardedOptions opts;
+  pipeline::ExecutorOptions opts;
   opts.workers = 2;
   opts.supervision.retry.max_attempts = 3;
   opts.supervision.retry.backoff_seconds = 0.0;
   opts.supervision.reacquire = true;
-  const pipeline::ShardedDedisperser sharded(plan, KernelConfig{1, 1, 1, 1},
-                                             opts);
+  const pipeline::Executor sharded(
+      plan, engine::encode_kernel_config(KernelConfig{1, 1, 1, 1}), opts);
 
   FaultSpec spec;
   spec.context = 0;
@@ -341,11 +343,12 @@ TEST(SupervisedSharding, LastReportIsSafeToReadMidFlight) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
   const Array2D<float> input = random_input(plan);
   const KernelConfig config{5, 2, 4, 2};
-  pipeline::ShardedOptions opts;
+  pipeline::ExecutorOptions opts;
   opts.workers = 3;
   opts.supervision.retry.max_attempts = 3;
   opts.supervision.retry.backoff_seconds = 0.0;
-  const pipeline::ShardedDedisperser sharded(plan, config, opts);
+  const pipeline::Executor sharded(
+      plan, engine::encode_kernel_config(config), opts);
 
   FaultSpec spec;
   spec.trigger = FaultSpec::Trigger::kProbability;
@@ -391,13 +394,13 @@ TEST(SupervisedSharding, LastReportIsSafeToReadMidFlight) {
 TEST(SupervisedSharding, FailedReacquisitionKeepsTheShardFailed) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
   const Array2D<float> input = random_input(plan);
-  pipeline::ShardedOptions opts;
+  pipeline::ExecutorOptions opts;
   opts.workers = 3;
   opts.supervision.retry.max_attempts = 1;
   opts.supervision.reacquire = true;
   opts.supervision.reacquire_splits = 2;
-  const pipeline::ShardedDedisperser sharded(plan, KernelConfig{1, 1, 1, 1},
-                                             opts);
+  const pipeline::Executor sharded(
+      plan, engine::encode_kernel_config(KernelConfig{1, 1, 1, 1}), opts);
 
   FaultSpec dead;
   dead.context = 1;
@@ -842,12 +845,13 @@ TEST(ResilienceSoakSlowTier, RandomShardFaultPatternsNeverCorruptOutput) {
   const KernelConfig config{1, 1, 1, 1};
   const Array2D<float> expected = single_engine(plan, config, input);
 
-  pipeline::ShardedOptions opts;
+  pipeline::ExecutorOptions opts;
   opts.workers = 4;
   opts.supervision.retry.max_attempts = 3;
   opts.supervision.retry.backoff_seconds = 0.0;
   opts.supervision.reacquire = true;
-  const pipeline::ShardedDedisperser sharded(plan, config, opts);
+  const pipeline::Executor sharded(
+      plan, engine::encode_kernel_config(config), opts);
 
   std::size_t absorbed = 0, failed = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {

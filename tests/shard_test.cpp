@@ -1,22 +1,27 @@
-// Tests for DM-sharded execution (pipeline/sharding.hpp): planner cost
-// balance and the differential guarantee — sharded output is bitwise
-// identical to the single-engine batch path across shard counts, uneven DM
-// grids, multi-beam batching and streaming chunked mode.
+// Tests for the beams × DM-shards executor (pipeline/executor.hpp): planner
+// cost balance, the thread-budget rule, and the differential guarantee —
+// sharded output is bitwise identical to the single-engine batch path
+// across shard counts, uneven DM grids, multi-beam batching and streaming
+// chunked mode.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <functional>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "common/random.hpp"
 #include "dedisp/cpu_kernel.hpp"
 #include "engine/engine_config.hpp"
+#include "engine/registry.hpp"
 #include "pipeline/dedisperser.hpp"
-#include "pipeline/multibeam.hpp"
-#include "pipeline/sharding.hpp"
+#include "pipeline/executor.hpp"
 #include "stream/streaming_dedisperser.hpp"
 #include "test_util.hpp"
 
@@ -28,6 +33,14 @@ using dedisp::Plan;
 using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::random_input;
+
+/// Executor on \p workers workers with \p config as its kernel axes.
+Executor make_executor(const Plan& plan, const KernelConfig& config,
+                       std::size_t workers) {
+  ExecutorOptions opts;
+  opts.workers = workers;
+  return Executor(plan, engine::encode_kernel_config(config), opts);
+}
 
 /// Single-engine reference: one kernel call over the whole plan, one thread.
 Array2D<float> single_engine(const Plan& plan, const KernelConfig& config,
@@ -143,7 +156,7 @@ TEST(DmShardPlanner, HigherShardsCostMoreAtEqualCounts) {
 
 // -------------------------------------------------------------- executor --
 
-TEST(ShardedDedisperser, BitwiseIdenticalAcrossShardCounts) {
+TEST(Executor, BitwiseIdenticalAcrossShardCounts) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
   const Array2D<float> input = random_input(plan);
   const KernelConfig config{5, 2, 4, 2};
@@ -152,35 +165,31 @@ TEST(ShardedDedisperser, BitwiseIdenticalAcrossShardCounts) {
   // 1, 2, primes, and more workers than trials.
   for (std::size_t workers : {1u, 2u, 3u, 5u, 7u, 12u, 19u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    ShardedOptions opts;
-    opts.workers = workers;
-    const ShardedDedisperser sharded(plan, config, opts);
-    EXPECT_EQ(sharded.shard_count(),
-              sharded.layout().shards.size());
+    const Executor sharded = make_executor(plan, config, workers);
+    EXPECT_EQ(sharded.shard_count(), sharded.layout().shards.size());
+    // Nobody sets the shard count: one per worker, clamped to the trials.
+    EXPECT_EQ(sharded.shard_count(), std::min<std::size_t>(workers, 12));
     expect_same_matrix(expected, sharded.dedisperse(input.cview()));
   }
 }
 
-TEST(ShardedDedisperser, HandlesUnevenAndPrimeDmGrids) {
+TEST(Executor, HandlesUnevenAndPrimeDmGrids) {
   for (std::size_t dms : {1u, 7u, 13u}) {
     SCOPED_TRACE("dms=" + std::to_string(dms));
     const Plan plan = Plan::with_output_samples(mini_obs(), dms, 60);
     const Array2D<float> input = random_input(plan);
     const KernelConfig config{5, 1, 4, 1};
     const Array2D<float> expected = single_engine(plan, config, input);
-    ShardedOptions opts;
-    opts.workers = 3;
-    const ShardedDedisperser sharded(plan, config, opts);
+    const Executor sharded = make_executor(plan, config, 3);
     expect_same_matrix(expected, sharded.dedisperse(input.cview()));
   }
 }
 
-TEST(ShardedDedisperser, AdaptsTheDmTileToEachShard) {
+TEST(Executor, AdaptsTheDmTileToEachShard) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
   const KernelConfig config{5, 2, 4, 2};  // tile_dm = 4
-  ShardedOptions opts;
-  opts.workers = 5;  // 12 trials over 5 shards: some shard breaks tile 4
-  const ShardedDedisperser sharded(plan, config, opts);
+  // 12 trials over 5 shards: some shard breaks tile 4.
+  const Executor sharded = make_executor(plan, config, 5);
   for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
     SCOPED_TRACE("shard " + std::to_string(i));
     const KernelConfig c =
@@ -190,74 +199,29 @@ TEST(ShardedDedisperser, AdaptsTheDmTileToEachShard) {
     EXPECT_NO_THROW(c.validate(sharded.shard_plan(i)));
   }
   // A config that does not validate against the parent plan is rejected.
-  EXPECT_THROW(ShardedDedisperser(plan, KernelConfig{7, 1, 1, 1}, opts),
-               config_error);
+  EXPECT_THROW(make_executor(plan, KernelConfig{7, 1, 1, 1}, 5), config_error);
 }
 
-TEST(ShardedDedisperser, RejectsWrongShapes) {
+TEST(Executor, RejectsWrongShapes) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 8, 60);
   const Array2D<float> input = random_input(plan);
-  ShardedOptions opts;
-  opts.workers = 2;
-  const ShardedDedisperser sharded(plan, KernelConfig{1, 1, 1, 1}, opts);
+  const Executor sharded = make_executor(plan, KernelConfig{1, 1, 1, 1}, 2);
   Array2D<float> bad_rows(plan.dms() + 1, plan.out_samples());
   EXPECT_THROW(sharded.dedisperse(input.cview(), bad_rows.view()),
                invalid_argument);
   Array2D<float> short_in(plan.channels(), plan.in_samples() - 1);
   EXPECT_THROW(sharded.dedisperse(short_in.cview()), invalid_argument);
   EXPECT_THROW(sharded.dedisperse_batch({}), invalid_argument);
+  // A chunk longer than the plan, or an empty one, is no chunk of it.
+  Array2D<float> out(plan.dms(), plan.out_samples() + 1);
+  EXPECT_THROW(sharded.run({input.cview()}, {out.view()}, 0),
+               invalid_argument);
+  EXPECT_THROW(
+      sharded.run({input.cview()}, {out.view()}, plan.out_samples() + 1),
+      invalid_argument);
 }
 
-TEST(ShardedDedisperser, TunesEachShardThroughTheCache) {
-  const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
-  const Array2D<float> input = random_input(plan);
-  const Array2D<float> expected =
-      single_engine(plan, KernelConfig{1, 1, 1, 1}, input);
-
-  tuner::TuningCache cache;
-  tuner::GuidedTuningOptions tuning;
-  tuning.host.repetitions = 1;
-  tuning.host.warmup_runs = 0;
-  tuning.strategy = tuner::StrategyKind::kRandom;
-  tuning.random_samples = 2;
-  ShardedOptions opts;
-  opts.workers = 3;
-
-  const ShardedDedisperser cold(plan, cache, opts, tuning);
-  ASSERT_EQ(cold.tuning_outcomes().size(), cold.shard_count());
-  // Cold cache: the first shard always searches; later shards either
-  // transfer from a neighbor (distinct PlanSignature, zero measurements)
-  // or search when no neighbor's config divides their trial count.
-  EXPECT_EQ(cold.tuning_outcomes().front().source,
-            tuner::GuidedTuningOutcome::Source::kSearch);
-  for (const auto& outcome : cold.tuning_outcomes()) {
-    if (outcome.source == tuner::GuidedTuningOutcome::Source::kTransfer) {
-      EXPECT_EQ(outcome.configs_evaluated, 0u);
-      EXPECT_TRUE(outcome.transfer_distance.has_value());
-    }
-  }
-  EXPECT_EQ(cache.size(),
-            static_cast<std::size_t>(std::count_if(
-                cold.tuning_outcomes().begin(), cold.tuning_outcomes().end(),
-                [](const auto& o) {
-                  return o.source ==
-                         tuner::GuidedTuningOutcome::Source::kSearch;
-                })));
-  expect_same_matrix(expected, cold.dedisperse(input.cview()));
-
-  // Same plan, same engine, warm cache: no shard measures anything —
-  // shards whose search was stored are exact hits, the rest transfer.
-  const ShardedDedisperser warm(plan, cache, opts, tuning);
-  EXPECT_EQ(warm.tuning_outcomes().front().source,
-            tuner::GuidedTuningOutcome::Source::kCacheHit);
-  for (const auto& outcome : warm.tuning_outcomes()) {
-    EXPECT_NE(outcome.source, tuner::GuidedTuningOutcome::Source::kSearch);
-    EXPECT_EQ(outcome.configs_evaluated, 0u);
-  }
-  expect_same_matrix(expected, warm.dedisperse(input.cview()));
-}
-
-TEST(ShardedDedisperser, BatchedBeamsMatchThePerBeamPath) {
+TEST(Executor, BatchedBeamsMatchThePerBeamPath) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
   const KernelConfig config{5, 2, 4, 2};
   std::vector<Array2D<float>> inputs;
@@ -266,15 +230,177 @@ TEST(ShardedDedisperser, BatchedBeamsMatchThePerBeamPath) {
     inputs.push_back(random_input(plan, 100 + b));
     views.push_back(inputs.back().cview());
   }
-  ShardedOptions opts;
-  opts.workers = 4;
-  const ShardedDedisperser sharded(plan, config, opts);
+  const Executor sharded = make_executor(plan, config, 4);
   const std::vector<Array2D<float>> got = sharded.dedisperse_batch(views);
   ASSERT_EQ(got.size(), 3u);
   for (std::size_t b = 0; b < 3; ++b) {
     SCOPED_TRACE("beam " + std::to_string(b));
     expect_same_matrix(single_engine(plan, config, inputs[b]), got[b]);
   }
+}
+
+TEST(Executor, ShardedBatchMatchesTheSequentialBeamPath) {
+  const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
+  const KernelConfig config{5, 2, 4, 2};
+  std::vector<Array2D<float>> inputs;
+  std::vector<ConstView2D<float>> views;
+  for (std::size_t b = 0; b < 3; ++b) {
+    inputs.push_back(random_input(plan, 500 + b));
+    views.push_back(inputs.back().cview());
+  }
+  const std::vector<Array2D<float>> expected =
+      make_executor(plan, config, 1).dedisperse_batch(views);
+  const std::vector<Array2D<float>> got =
+      make_executor(plan, config, 4).dedisperse_batch(views);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t b = 0; b < got.size(); ++b) {
+    SCOPED_TRACE("beam " + std::to_string(b));
+    expect_same_matrix(expected[b], got[b]);
+  }
+}
+
+TEST(Executor, ShorterChunksRunTheSameGrid) {
+  // A stream's final partial chunk runs through the same executor: every
+  // shard on the chunk's first samples, bitwise equal to one engine call.
+  const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
+  const Plan chunk = plan.with_chunk(17);
+  const Array2D<float> input = random_input(chunk);
+  const Array2D<float> expected =
+      single_engine(chunk, KernelConfig{1, 1, 1, 1}, input);
+  for (std::size_t workers : {1u, 3u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const Executor sharded = make_executor(plan, KernelConfig{5, 2, 4, 2},
+                                           workers);
+    Array2D<float> out(chunk.dms(), chunk.out_samples());
+    const engine::SessionTraffic traffic =
+        sharded.run({input.cview()}, {out.view()}, chunk.out_samples());
+    EXPECT_EQ(traffic.runs, sharded.shard_count());
+    expect_same_matrix(expected, out);
+  }
+}
+
+// ---------------------------------------------------------- thread budget --
+
+/// What one probe-engine call saw.
+struct ProbeCall {
+  std::thread::id thread;
+  std::size_t cpu_threads = 0;
+};
+
+/// Calls of every probe engine; guarded by probe_mutex.
+std::mutex probe_mutex;
+std::vector<ProbeCall> probe_calls;
+
+/// Forwards to cpu_tiled (so it shards bitwise) and records the calling
+/// thread and the cpu.threads it was built with.
+class ProbeEngine final : public engine::DedispEngine {
+ public:
+  explicit ProbeEngine(const engine::EngineOptions& options)
+      : inner_(engine::make_engine("cpu_tiled", options)) {}
+  const std::string& id() const override { return id_; }
+  const engine::EngineCapabilities& capabilities() const override {
+    return inner_->capabilities();
+  }
+  const engine::EngineOptions& options() const override {
+    return inner_->options();
+  }
+  std::string variant() const override { return inner_->variant(); }
+
+ protected:
+  engine::EngineRun execute_impl(const Plan& plan,
+                                 const engine::EngineConfig& config,
+                                 ConstView2D<float> in,
+                                 View2D<float> out) const override {
+    {
+      std::lock_guard<std::mutex> lock(probe_mutex);
+      probe_calls.push_back(
+          {std::this_thread::get_id(), options().cpu.threads});
+    }
+    return inner_->execute(plan, config, in, out);
+  }
+
+ private:
+  std::string id_ = "engine_test_probe";
+  std::shared_ptr<const engine::DedispEngine> inner_;
+};
+
+/// Registers the probe once and clears its call log.
+void reset_probe() {
+  static std::once_flag registered;
+  std::call_once(registered, [] {
+    engine::EngineRegistry::instance().add(
+        "engine_test_probe", [](const engine::EngineOptions& options) {
+          return std::make_shared<const ProbeEngine>(options);
+        });
+  });
+  std::lock_guard<std::mutex> lock(probe_mutex);
+  probe_calls.clear();
+}
+
+/// Threads of this process (Linux: one /proc/self/task entry each), or 0
+/// where that is not observable.
+std::size_t process_threads() {
+  const std::filesystem::path tasks("/proc/self/task");
+  if (!std::filesystem::exists(tasks)) return 0;
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator(tasks),
+                    std::filesystem::directory_iterator()));
+}
+
+TEST(Executor, OneJobGridRunsInlineWithTheCallersThreads) {
+  reset_probe();
+  const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
+  const Array2D<float> input = random_input(plan);
+  ExecutorOptions opts;
+  opts.workers = 1;
+  opts.engine = "engine_test_probe";
+  opts.engine_options.cpu.threads = 3;
+  const std::size_t threads_before = process_threads();
+  const Executor inline_grid(plan, engine::EngineConfig{}, opts);
+  EXPECT_EQ(process_threads(), threads_before);  // no pool was started
+  EXPECT_EQ(inline_grid.shard_count(), 1u);
+  inline_grid.dedisperse(input.cview());
+
+  // A pooled executor whose call is one job (one trial, one beam) runs
+  // that job inline too.
+  const Plan single_trial = Plan::with_output_samples(mini_obs(), 1, 60);
+  opts.workers = 2;
+  const Executor pooled(single_trial, engine::EngineConfig{}, opts);
+  pooled.dedisperse(random_input(single_trial).cview());
+
+  std::lock_guard<std::mutex> lock(probe_mutex);
+  ASSERT_EQ(probe_calls.size(), 2u);
+  for (const ProbeCall& call : probe_calls) {
+    EXPECT_EQ(call.thread, std::this_thread::get_id());
+    EXPECT_EQ(call.cpu_threads, 3u);
+  }
+}
+
+TEST(Executor, PoolGridRunsOneEngineThreadPerJobOffTheCaller) {
+  reset_probe();
+  const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
+  const Array2D<float> input = random_input(plan);
+  ExecutorOptions opts;
+  opts.workers = 2;
+  opts.engine = "engine_test_probe";
+  opts.engine_options.cpu.threads = 3;
+  const std::size_t threads_before = process_threads();
+  const Executor pool_grid(plan, engine::EngineConfig{}, opts);
+  if (threads_before > 0) {
+    EXPECT_EQ(process_threads(), threads_before + 2);  // the two workers
+  }
+  ASSERT_EQ(pool_grid.shard_count(), 2u);
+  pool_grid.dedisperse_batch({input.cview(), input.cview()});
+
+  std::lock_guard<std::mutex> lock(probe_mutex);
+  ASSERT_EQ(probe_calls.size(), 4u);  // 2 beams × 2 shards
+  std::set<std::thread::id> threads;
+  for (const ProbeCall& call : probe_calls) {
+    EXPECT_NE(call.thread, std::this_thread::get_id());
+    EXPECT_EQ(call.cpu_threads, 1u);
+    threads.insert(call.thread);
+  }
+  EXPECT_LE(threads.size(), 2u);
 }
 
 // ---------------------------------------------------------------- wiring --
@@ -325,24 +451,6 @@ TEST(Dedisperser, ShardedExecutionRequiresTheShardingCapability) {
   }
 }
 
-TEST(MultiBeamDedisperser, ShardedBatchMatchesTheBeamParallelPath) {
-  const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
-  MultiBeamDedisperser mb(plan, KernelConfig{5, 2, 4, 2});
-  std::vector<Array2D<float>> inputs;
-  std::vector<ConstView2D<float>> views;
-  for (std::size_t b = 0; b < 3; ++b) {
-    inputs.push_back(random_input(plan, 500 + b));
-    views.push_back(inputs.back().cview());
-  }
-  const std::vector<Array2D<float>> expected = mb.dedisperse(views, 1);
-  const std::vector<Array2D<float>> got = mb.dedisperse_sharded(views, 4);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t b = 0; b < got.size(); ++b) {
-    SCOPED_TRACE("beam " + std::to_string(b));
-    expect_same_matrix(expected[b], got[b]);
-  }
-}
-
 // ------------------------------------------------------------- streaming --
 
 /// Reassemble sink chunks into one dms × total matrix by first_sample.
@@ -389,6 +497,45 @@ TEST(StreamingDedisperser, ShardedChunksAreBitwiseEqualToBatch) {
   }
 }
 
+/// What a multi-beam session emitted: per-beam reassembled matrices and
+/// the session's traffic.
+struct MultiBeamRun {
+  std::vector<Array2D<float>> totals;
+  engine::SessionTraffic traffic;
+};
+
+/// Stream \p views (one per beam) through a multi-beam session in
+/// 32-sample chunks of \p batch's plan.
+MultiBeamRun stream_beams(const Plan& batch,
+                          const std::vector<ConstView2D<float>>& views,
+                          std::size_t shard_workers) {
+  MultiBeamRun result;
+  for (std::size_t b = 0; b < views.size(); ++b) {
+    result.totals.emplace_back(batch.dms(), batch.out_samples());
+  }
+  stream::StreamingOptions opts;
+  opts.cpu.threads = 1;
+  opts.shard_workers = shard_workers;
+  stream::MultiBeamStreamingDedisperser session(
+      batch.with_chunk(32),
+      engine::encode_kernel_config(KernelConfig{8, 2, 4, 2}), views.size(),
+      [&](const stream::MultiBeamStreamChunk& chunk) {
+        for (std::size_t b = 0; b < views.size(); ++b) {
+          for (std::size_t dm = 0; dm < batch.dms(); ++dm) {
+            for (std::size_t t = 0; t < chunk.out_samples; ++t) {
+              result.totals[b](dm, chunk.first_sample + t) =
+                  (*chunk.outputs)[b](dm, t);
+            }
+          }
+        }
+      },
+      opts);
+  session.push(views);
+  session.close();
+  result.traffic = session.telemetry();
+  return result;
+}
+
 TEST(MultiBeamStreamingDedisperser, ShardedChunksMatchTheUnshardedSession) {
   const std::size_t total_out = 80;  // 2 full chunks of 32 + partial 16
   const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
@@ -400,61 +547,58 @@ TEST(MultiBeamStreamingDedisperser, ShardedChunksMatchTheUnshardedSession) {
     views.push_back(inputs.back().cview());
   }
 
-  const auto run = [&](std::size_t shard_workers) {
-    std::vector<Array2D<float>> totals;
-    for (std::size_t b = 0; b < beams; ++b) {
-      totals.emplace_back(batch.dms(), total_out);
-    }
-    stream::StreamingOptions opts;
-    opts.cpu.threads = 1;
-    opts.shard_workers = shard_workers;
-    stream::MultiBeamStreamingDedisperser session(
-        batch.with_chunk(32), KernelConfig{8, 2, 4, 2}, beams,
-        [&](const stream::MultiBeamStreamChunk& chunk) {
-          for (std::size_t b = 0; b < beams; ++b) {
-            for (std::size_t dm = 0; dm < batch.dms(); ++dm) {
-              for (std::size_t t = 0; t < chunk.out_samples; ++t) {
-                totals[b](dm, chunk.first_sample + t) =
-                    (*chunk.outputs)[b](dm, t);
-              }
-            }
-          }
-        },
-        opts);
-    session.push(views);
-    session.close();
-    return totals;
-  };
-
-  const std::vector<Array2D<float>> plain = run(0);
-  const std::vector<Array2D<float>> sharded = run(3);
+  const MultiBeamRun plain = stream_beams(batch, views, 0);
+  const MultiBeamRun sharded = stream_beams(batch, views, 3);
   for (std::size_t b = 0; b < beams; ++b) {
     SCOPED_TRACE("beam " + std::to_string(b));
-    expect_same_matrix(plain[b], sharded[b]);
+    const Array2D<float> expected =
+        single_engine(batch, KernelConfig{1, 1, 1, 1}, inputs[b]);
+    expect_same_matrix(expected, plain.totals[b]);
+    expect_same_matrix(expected, sharded.totals[b]);
   }
+}
+
+TEST(MultiBeamStreamingDedisperser, TelemetryCountsEveryEngineCall) {
+  // 2 beams × 3 chunks (2 full of 32 + the 16-sample flush): every engine
+  // call of every chunk counts, the flush chunk's included.
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, 80);
+  const Array2D<float> a = random_input(batch, 31);
+  const Array2D<float> b = random_input(batch, 32);
+  const std::vector<ConstView2D<float>> views = {a.cview(), b.cview()};
+
+  const MultiBeamRun plain = stream_beams(batch, views, 0);
+  EXPECT_EQ(plain.traffic.runs, 6u);  // one engine call per beam and chunk
+  EXPECT_GT(plain.traffic.flop, 0.0);
+  EXPECT_GT(plain.traffic.gflops(), 0.0);
+
+  const MultiBeamRun sharded = stream_beams(batch, views, 3);
+  EXPECT_EQ(sharded.traffic.runs, 18u);  // × 3 DM shards per beam
+  EXPECT_DOUBLE_EQ(sharded.traffic.flop, plain.traffic.flop);
 }
 
 // --------------------------------------------------------------- traffic --
 
-TEST(ShardedDedisperser, TrafficAggregatesEveryShardRun) {
+TEST(Executor, TrafficCountsEveryShardRun) {
   const Plan plan = Plan::with_output_samples(mini_obs(), 12, 60);
-  const KernelConfig config{5, 2, 4, 2};
-  ShardedOptions opts;
-  opts.workers = 3;
-  const ShardedDedisperser sharded(plan, config, opts);
-  EXPECT_EQ(sharded.telemetry().runs, 0u);
-
+  const Executor sharded = make_executor(plan, KernelConfig{5, 2, 4, 2}, 3);
   const Array2D<float> input = random_input(plan);
-  sharded.dedisperse(input.cview());
-  const engine::SessionTraffic t1 = sharded.telemetry();
+  Array2D<float> out(plan.dms(), plan.out_samples());
+  const engine::SessionTraffic t1 = sharded.dedisperse(input.cview(), out.view());
   EXPECT_EQ(t1.runs, sharded.shard_count());
   EXPECT_GT(t1.flop, 0.0);
   EXPECT_GT(t1.bytes, 0.0);
   EXPECT_GT(t1.engine_seconds, 0.0);
   EXPECT_GT(t1.gflops(), 0.0);
 
-  sharded.dedisperse(input.cview());
-  EXPECT_EQ(sharded.telemetry().runs, 2 * sharded.shard_count());
+  // Each call reports its own runs; a beam batch reports beams × shards.
+  EXPECT_EQ(sharded.dedisperse(input.cview(), out.view()).runs,
+            sharded.shard_count());
+  Array2D<float> out2(plan.dms(), plan.out_samples());
+  EXPECT_EQ(sharded
+                .run({input.cview(), input.cview()}, {out.view(), out2.view()},
+                     plan.out_samples())
+                .runs,
+            2 * sharded.shard_count());
 }
 
 TEST(Dedisperser, TelemetrySurvivesReconfiguration) {
@@ -466,8 +610,8 @@ TEST(Dedisperser, TelemetrySurvivesReconfiguration) {
   const std::size_t sharded_runs = dd.telemetry().runs;
   EXPECT_GT(sharded_runs, 1u);  // one engine run per shard
 
-  // Switching back to single invalidates the sharded executor; the traffic
-  // it accumulated must be absorbed, not lost.
+  // Switching back to single replaces the sharded executor; the traffic
+  // it accumulated must not be lost.
   dd.set_execution(Execution::kSingle);
   dd.dedisperse(input.cview());
   const engine::SessionTraffic total = dd.telemetry();
@@ -493,11 +637,8 @@ TEST(StreamingDedisperser, TelemetryCountsEveryChunkRun) {
     session.close();
     const engine::SessionTraffic traffic = session.telemetry();
     const std::size_t chunks = 5;  // 145 / 32 rounded up
-    if (shard_workers == 0) {
-      EXPECT_EQ(traffic.runs, chunks);
-    } else {
-      EXPECT_GE(traffic.runs, chunks);  // >= one engine run per shard/chunk
-    }
+    // One engine run per shard and chunk, the flush chunk included.
+    EXPECT_EQ(traffic.runs, chunks * std::max<std::size_t>(shard_workers, 1));
     EXPECT_GT(traffic.flop, 0.0);
     EXPECT_GT(traffic.gflops(), 0.0);
   }
@@ -526,9 +667,7 @@ TEST(ShardedRandomSlowTier, RandomInstancesStayBitwiseIdentical) {
     const Array2D<float> input = random_input(plan, 7000 + iter);
     const KernelConfig config{1, 1, 1, 1};
     const Array2D<float> expected = single_engine(plan, config, input);
-    ShardedOptions opts;
-    opts.workers = workers;
-    const ShardedDedisperser sharded(plan, config, opts);
+    const Executor sharded = make_executor(plan, config, workers);
     expect_same_matrix(expected, sharded.dedisperse(input.cview()));
   }
 }

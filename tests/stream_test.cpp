@@ -728,7 +728,8 @@ TEST(MultiBeamStreaming, BitwiseEqualToBatchPerBeam) {
   opts.detect = true;
   opts.cpu.threads = 1;
   MultiBeamStreamingDedisperser session(
-      batch.with_chunk(64), KernelConfig{8, 2, 4, 2}, beams,
+      batch.with_chunk(64),
+      engine::encode_kernel_config(KernelConfig{8, 2, 4, 2}), beams,
       [&](const MultiBeamStreamChunk& chunk) {
         ASSERT_NE(chunk.outputs, nullptr);
         ASSERT_EQ(chunk.outputs->size(), beams);
@@ -770,14 +771,14 @@ TEST(MultiBeamStreaming, BitwiseEqualToBatchPerBeam) {
 
 TEST(MultiBeamStreaming, ValidatesLockstepFeeds) {
   const Plan chunk = Plan::with_output_samples(mini_obs(), 8, 64);
-  MultiBeamStreamingDedisperser session(chunk, KernelConfig{8, 2, 4, 2}, 2,
-                                        nullptr);
+  const engine::EngineConfig config =
+      engine::encode_kernel_config(KernelConfig{8, 2, 4, 2});
+  MultiBeamStreamingDedisperser session(chunk, config, 2, nullptr);
   Array2D<float> a(8, 10);
   Array2D<float> b(8, 7);
   EXPECT_THROW(session.push({a.cview(), b.cview()}), invalid_argument);
   EXPECT_THROW(session.push({a.cview()}), invalid_argument);
-  EXPECT_THROW(MultiBeamStreamingDedisperser(chunk, KernelConfig{8, 2, 4, 2},
-                                             0, nullptr),
+  EXPECT_THROW(MultiBeamStreamingDedisperser(chunk, config, 0, nullptr),
                invalid_argument);
 }
 
