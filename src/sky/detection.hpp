@@ -15,8 +15,16 @@
 
 namespace ddmc::sky {
 
-/// Peak signal-to-noise of one dedispersed time series: (max − mean)/σ with
-/// mean and σ estimated from the series itself.
+/// Peak signal-to-noise of one dedispersed time series:
+/// (max − baseline)/σ, with both estimated robustly from the series itself
+/// so the pulse does not inflate its own noise term:
+///   - baseline = median (even lengths average the middle pair);
+///   - σ = 1.4826 · MAD, the median of |x − baseline|;
+///   - σ = population standard deviation when the MAD is 0 (more than half
+///     the samples equal); a constant series scores 0.
+/// Cost: O(n) per series — an exact histogram select, no sort.
+/// `detect_best_dm` / `detect_best_beam` allocate one scratch buffer per
+/// call and reuse it for every trial and beam.
 double series_snr(std::span<const float> series);
 
 /// Result of scanning a (DMs × samples) dedispersed matrix.

@@ -352,6 +352,8 @@ void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
   chunk.out_samples = job.out_samples;
   chunk.output = out;
   if (options_.detect) {
+    telemetry::TraceSpan detect_span("sky.detect");
+    detect_span.arg("chunk", job.index);
     chunk.detection = sky::detect_best_dm(out);
   }
   chunk.timing.compute_seconds = compute.seconds();
@@ -565,7 +567,11 @@ void MultiBeamStreamingDedisperser::run_chunk(
   chunk.first_sample = first_sample;
   chunk.out_samples = out_samples;
   chunk.outputs = &outputs;
-  if (options_.detect) chunk.candidate = sky::detect_best_beam(outputs);
+  if (options_.detect) {
+    telemetry::TraceSpan detect_span("sky.detect");
+    detect_span.arg("chunk", index);
+    chunk.candidate = sky::detect_best_beam(outputs);
+  }
   chunk.timing.compute_seconds = compute.seconds();
   chunk.timing.data_seconds = static_cast<double>(out_samples) /
                               plan_.observation().sampling_rate();

@@ -27,6 +27,7 @@
 ///   shard.reacquire.task  reacquired sub-shard work  (args: shard)
 ///   stream.chunk     chunk compute              (args: chunk)
 ///   stream.sink      sink delivery              (args: chunk)
+///   sky.detect       per-chunk candidate scan   (args: chunk)
 ///   tuner.tune       guided tuning of an engine (args: engine, source)
 ///   ring.push.wait   producer blocked on a full ring
 ///   ring.pop.wait    consumer blocked on an empty ring

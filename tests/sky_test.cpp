@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "common/statistics.hpp"
@@ -360,6 +364,207 @@ TEST(Detection, FindsRowWithStrongestPeak) {
   EXPECT_EQ(res.best_trial, 2u);
   EXPECT_EQ(res.peak_sample, 17u);
   EXPECT_GT(res.best_snr, 5.0);
+}
+
+// ------------------------------------------- detection: select ≡ oracle --
+
+// The nth_element median that series_snr used before the histogram select,
+// kept verbatim as the test oracle: the select must reproduce its results
+// exactly (==), not merely approximately.
+namespace nth_element_oracle {
+
+double median_inplace(std::vector<float>& values) {
+  const std::size_t mid = values.size() / 2;
+  std::nth_element(values.begin(), values.begin() + mid, values.end());
+  const double upper = static_cast<double>(values[mid]);
+  if (values.size() % 2 != 0) return upper;
+  const double lower = static_cast<double>(
+      *std::max_element(values.begin(), values.begin() + mid));
+  return 0.5 * (lower + upper);
+}
+
+double series_snr(std::span<const float> series) {
+  DDMC_REQUIRE(!series.empty(), "empty series");
+  std::vector<float> scratch(series.begin(), series.end());
+  const double baseline = median_inplace(scratch);
+  for (auto& v : scratch) {
+    v = std::abs(v - static_cast<float>(baseline));
+  }
+  double sigma = 1.4826 * median_inplace(scratch);
+  if (sigma <= 0.0) {
+    RunningStats rs;
+    for (float v : series) rs.add(static_cast<double>(v));
+    sigma = rs.stddev();
+  }
+  if (sigma <= 0.0) return 0.0;
+  const double peak = static_cast<double>(
+      *std::max_element(series.begin(), series.end()));
+  return (peak - baseline) / sigma;
+}
+
+DetectionResult detect_best_dm(ConstView2D<float> dedispersed) {
+  DetectionResult result;
+  result.best_snr = -1.0;
+  for (std::size_t trial = 0; trial < dedispersed.rows(); ++trial) {
+    const auto row = dedispersed.row(trial);
+    const double s = series_snr(row);
+    if (s > result.best_snr) {
+      result.best_snr = s;
+      result.best_trial = trial;
+      result.peak_sample = static_cast<std::size_t>(
+          std::max_element(row.begin(), row.end()) - row.begin());
+    }
+  }
+  return result;
+}
+
+BeamCandidate detect_best_beam(const std::vector<Array2D<float>>& beams) {
+  BeamCandidate best;
+  best.detection.best_snr = -1.0;
+  for (std::size_t b = 0; b < beams.size(); ++b) {
+    const DetectionResult res = detect_best_dm(beams[b].cview());
+    if (res.best_snr > best.detection.best_snr) {
+      best.beam = b;
+      best.detection = res;
+    }
+  }
+  return best;
+}
+
+}  // namespace nth_element_oracle
+
+// Value distributions that stress the select's rank bookkeeping. NaN stays
+// out: the oracle's nth_element is undefined on it.
+enum class SeriesShape {
+  kGaussian,      // dedispersed noise, sometimes with a pulse
+  kQuantized,     // u8-like integers: long runs of equal keys in one bin
+  kConstantRuns,  // > half the samples equal: MAD = 0, stddev fallback
+  kNegative,      // every value below zero, across binades
+  kSignedZeros,   // ±0.0 mixed with a few small values
+  kInfinities,    // Gaussian with a minority of ±inf
+};
+
+constexpr SeriesShape kAllShapes[] = {
+    SeriesShape::kGaussian,     SeriesShape::kQuantized,
+    SeriesShape::kConstantRuns, SeriesShape::kNegative,
+    SeriesShape::kSignedZeros,  SeriesShape::kInfinities};
+
+std::string shape_name(SeriesShape shape) {
+  switch (shape) {
+    case SeriesShape::kGaussian: return "gaussian";
+    case SeriesShape::kQuantized: return "quantized";
+    case SeriesShape::kConstantRuns: return "constant-runs";
+    case SeriesShape::kNegative: return "negative";
+    case SeriesShape::kSignedZeros: return "signed-zeros";
+    case SeriesShape::kInfinities: return "infinities";
+  }
+  return "?";
+}
+
+void fill_series(SeriesShape shape, std::span<float> out, Rng& rng) {
+  const std::size_t n = out.size();
+  const float inf = std::numeric_limits<float>::infinity();
+  switch (shape) {
+    case SeriesShape::kGaussian:
+      for (auto& v : out) v = static_cast<float>(3.0 + 2.0 * rng.next_normal());
+      if (rng.next_below(2) == 0) out[rng.next_below(n)] += 25.0f;
+      break;
+    case SeriesShape::kQuantized: {
+      const auto levels = 2 + rng.next_below(15);
+      for (auto& v : out) {
+        v = static_cast<float>(rng.next_below(levels)) + 120.0f;
+      }
+      break;
+    }
+    case SeriesShape::kConstantRuns: {
+      const float c = rng.next_float(-4.0f, 4.0f);
+      std::fill(out.begin(), out.end(), c);
+      // Fewer than half the samples differ (possibly none).
+      const std::size_t others = rng.next_below((n + 1) / 2);
+      for (std::size_t k = 0; k < others; ++k) {
+        out[rng.next_below(n)] = rng.next_float(-50.0f, 50.0f);
+      }
+      break;
+    }
+    case SeriesShape::kNegative:
+      for (auto& v : out) {
+        v = -std::ldexp(rng.next_float(1.0f, 2.0f),
+                        static_cast<int>(rng.next_below(20)) - 10);
+      }
+      break;
+    case SeriesShape::kSignedZeros:
+      for (auto& v : out) {
+        switch (rng.next_below(4)) {
+          case 0: v = -0.0f; break;
+          case 1: v = 0.0f; break;
+          default: v = rng.next_float(-1e-3f, 1e-3f); break;
+        }
+      }
+      break;
+    case SeriesShape::kInfinities:
+      for (auto& v : out) v = static_cast<float>(rng.next_normal());
+      // A minority, so baseline and MAD stay finite (inf − inf is NaN).
+      for (std::size_t k = 0; k < n / 4; ++k) {
+        out[rng.next_below(n)] = rng.next_below(2) == 0 ? inf : -inf;
+      }
+      break;
+  }
+}
+
+std::vector<std::size_t> equivalence_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 70; ++n) lengths.push_back(n);
+  for (std::size_t n : {499, 500, 501, 20000}) lengths.push_back(n);
+  return lengths;
+}
+
+TEST(DetectionEquivalence, SeriesSnrMatchesTheNthElementOracle) {
+  Rng rng(14);
+  for (SeriesShape shape : kAllShapes) {
+    for (std::size_t n : equivalence_lengths()) {
+      for (int rep = 0; rep < 3; ++rep) {
+        std::vector<float> series(n);
+        fill_series(shape, series, rng);
+        ASSERT_EQ(series_snr(series), nth_element_oracle::series_snr(series))
+            << shape_name(shape) << " n=" << n << " rep=" << rep;
+      }
+    }
+  }
+}
+
+void expect_same_detection(const DetectionResult& got,
+                           const DetectionResult& want,
+                           const std::string& where) {
+  EXPECT_EQ(got.best_trial, want.best_trial) << where;
+  EXPECT_EQ(got.best_snr, want.best_snr) << where;
+  EXPECT_EQ(got.peak_sample, want.peak_sample) << where;
+}
+
+TEST(DetectionEquivalence, MatrixScansMatchTheNthElementOracle) {
+  // One scratch buffer serves every trial and beam of a call, including
+  // beams whose rows differ in length, so mix the shapes across rows.
+  Rng rng(41);
+  for (std::size_t cols : {1, 2, 7, 64, 499, 500, 501, 20000}) {
+    std::vector<Array2D<float>> beams;
+    for (std::size_t b = 0; b < 3; ++b) {
+      Array2D<float> m(5, cols + b % 2);
+      for (std::size_t r = 0; r < m.rows(); ++r) {
+        fill_series(kAllShapes[rng.next_below(std::size(kAllShapes))],
+                    m.row(r), rng);
+      }
+      const std::string where =
+          "cols=" + std::to_string(m.cols()) + " beam=" + std::to_string(b);
+      expect_same_detection(detect_best_dm(m.cview()),
+                            nth_element_oracle::detect_best_dm(m.cview()),
+                            where);
+      beams.push_back(std::move(m));
+    }
+    const BeamCandidate got = detect_best_beam(beams);
+    const BeamCandidate want = nth_element_oracle::detect_best_beam(beams);
+    EXPECT_EQ(got.beam, want.beam) << "cols=" << cols;
+    expect_same_detection(got.detection, want.detection,
+                          "beams, cols=" + std::to_string(cols));
+  }
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "stream/latency.hpp"
 #include "stream/ring_buffer.hpp"
 #include "stream/streaming_dedisperser.hpp"
+#include "telemetry/tracing.hpp"
 #include "test_util.hpp"
 
 namespace ddmc::stream {
@@ -704,6 +707,48 @@ TEST(StreamingDedisperser, ValidatesConfigAndInput) {
   EXPECT_THROW(session.push(wrong.cview()), invalid_argument);
 }
 
+/// Number of recorded trace events called `name`.
+std::size_t count_spans(const char* name) {
+  const auto events = telemetry::Tracer::instance().events();
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [name](const telemetry::TraceEvent& e) {
+                      return std::string(e.name) == name;
+                    }));
+}
+
+/// Owns the process-wide tracer for one test: enabled and empty inside,
+/// disabled and empty after.
+struct ScopedTracing {
+  ScopedTracing() {
+    telemetry::Tracer::instance().clear();
+    telemetry::Tracer::instance().set_enabled(true);
+  }
+  ~ScopedTracing() {
+    telemetry::Tracer::instance().set_enabled(false);
+    telemetry::Tracer::instance().clear();
+  }
+};
+
+// Detection gets its own span, named as in the end-to-end benchmark, so a
+// production Chrome trace separates it from the dedispersion it follows.
+TEST(StreamingDedisperser, TracesOneDetectSpanPerEmittedChunk) {
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, 145);
+  const Array2D<float> input = random_input(batch);
+  for (bool detect : {false, true}) {
+    ScopedTracing tracing;
+    StreamingOptions opts;
+    opts.detect = detect;
+    opts.cpu.threads = 1;
+    StreamingDedisperser session(batch.with_chunk(64),
+                                 KernelConfig{8, 2, 4, 2}, nullptr, opts);
+    session.push(input.cview());
+    session.close();
+    ASSERT_EQ(session.chunks_emitted(), 3u);  // 64 + 64 + flushed 17
+    EXPECT_EQ(count_spans("sky.detect"), detect ? 3u : 0u) << detect;
+  }
+}
+
 // ------------------------------------------------------------ multi-beam --
 
 TEST(MultiBeamStreaming, BitwiseEqualToBatchPerBeam) {
@@ -766,6 +811,26 @@ TEST(MultiBeamStreaming, BitwiseEqualToBatchPerBeam) {
   EXPECT_EQ(session.latency().chunks, 3u);
   for (std::size_t b = 0; b < beams; ++b) {
     expect_same_matrix(expected[b], collected[b]);
+  }
+}
+
+TEST(MultiBeamStreaming, TracesOneDetectSpanPerEmittedChunk) {
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, 145);
+  const std::vector<Array2D<float>> inputs = {random_input(batch, 1),
+                                              random_input(batch, 2)};
+  for (bool detect : {false, true}) {
+    ScopedTracing tracing;
+    StreamingOptions opts;
+    opts.detect = detect;
+    opts.cpu.threads = 1;
+    MultiBeamStreamingDedisperser session(
+        batch.with_chunk(64),
+        engine::encode_kernel_config(KernelConfig{8, 2, 4, 2}),
+        inputs.size(), nullptr, opts);
+    session.push({inputs[0].cview(), inputs[1].cview()});
+    session.close();
+    ASSERT_EQ(session.chunks_emitted(), 3u);
+    EXPECT_EQ(count_spans("sky.detect"), detect ? 3u : 0u) << detect;
   }
 }
 
