@@ -4,13 +4,18 @@
 /// configurations plus a channel_block × unroll grid. This is the "actually
 /// runs" half of the repository — wall-clock, not modeled.
 ///
-/// The workload is a reduced Apertif instance (full channel count, reduced
-/// output window) so a run completes in seconds on a laptop-class CPU.
+/// The workload is a reduced instance of one of the paper's two setups
+/// (full channel count, reduced output window) so a run completes in
+/// seconds on a laptop-class CPU. Apertif (1024 channels) is the
+/// high-reuse regime; LOFAR (32 channels, ~900 samples of delay per DM
+/// step in the lowest channel) is the low-reuse, memory-bound one.
 ///
-///   ./bench_host_kernels [--dms 32] [--out-samples 2000] [--reps 3]
-///                        [--threads 1] [--json BENCH_host_kernels.json]
+///   ./bench_host_kernels [--observation apertif|lofar] [--dms 32]
+///                        [--out-samples 2000] [--reps 3] [--threads 1]
+///                        [--commit C] [--json BENCH_host_kernels.json]
 ///
-/// The JSON output records GFLOP/s per entry and a summary with the
+/// The JSON output records GFLOP/s per entry, provenance (commit, compiler
+/// and flags, SIMD backend, host CPUs) and a summary with the
 /// tuned-SIMD-over-seed-scalar speedup — the number the perf trajectory
 /// tracks across PRs.
 
@@ -18,6 +23,7 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -42,7 +48,6 @@ struct Entry {
   std::string engine;  // "reference", "baseline", "scalar", "simd", "simd_u8"
   dedisp::KernelConfig config;
   bool tiled = false;
-  bool stage_rows = true;
   std::size_t elem_bytes = sizeof(float);  // stored input sample size
   double seconds = 0.0;
   double gflops = 0.0;
@@ -67,12 +72,21 @@ double time_mean_seconds(Fn&& fn, std::size_t reps) {
 int main(int argc, char** argv) {
   Cli cli("bench_host_kernels",
           "measured throughput of the host dedispersion kernels");
+  cli.add_option("observation", "apertif or lofar", "apertif");
   cli.add_option("dms", "number of trial DMs", "32");
   cli.add_option("out-samples", "output window in samples", "2000");
   cli.add_option("reps", "timed repetitions per kernel", "3");
   cli.add_option("threads", "worker threads (1 = inline)", "1");
+  cli.add_option("commit", "source commit stamped into the JSON", "unknown");
   cli.add_option("json", "write machine-readable results to this path", "");
   if (!cli.parse(argc, argv)) return 0;
+
+  const std::string observation = cli.get("observation");
+  DDMC_REQUIRE(observation == "apertif" || observation == "lofar",
+               "--observation must be apertif or lofar, got '" + observation +
+                   "'");
+  const sky::Observation obs =
+      observation == "lofar" ? sky::lofar() : sky::apertif();
 
   const auto dms = static_cast<std::size_t>(cli.get_int("dms"));
   const auto out_samples =
@@ -81,7 +95,7 @@ int main(int argc, char** argv) {
   const auto threads = static_cast<std::size_t>(cli.get_int("threads"));
 
   const dedisp::Plan plan =
-      dedisp::Plan::with_output_samples(sky::apertif(), dms, out_samples);
+      dedisp::Plan::with_output_samples(obs, dms, out_samples);
   Array2D<float> input(plan.channels(), plan.in_samples());
   Rng rng(1234);
   for (std::size_t ch = 0; ch < input.rows(); ++ch) {
@@ -132,49 +146,45 @@ int main(int argc, char** argv) {
       {10, 8, 10, 4},  // DM-deep tile, maximal reuse window
   };
 
-  auto run_tiled = [&](const dedisp::KernelConfig& cfg, bool vectorize,
-                       bool stage_rows) {
+  auto run_tiled = [&](const dedisp::KernelConfig& cfg, bool vectorize) {
     dedisp::CpuKernelOptions opt;
-    opt.stage_rows = stage_rows;
     opt.vectorize = vectorize;
     opt.threads = threads;
     return time_mean_seconds([&] {
       dedisp::dedisperse_cpu(plan, cfg, input.cview(), output.view(), opt);
     }, reps);
   };
-  auto add_tiled = [&](const dedisp::KernelConfig& cfg, bool vectorize,
-                       bool stage_rows) {
+  auto add_tiled = [&](const dedisp::KernelConfig& cfg, bool vectorize) {
     if (!cfg.divides(plan)) {
       std::cout << "skipping " << cfg.to_string()
                 << " (tiles do not divide this plan)\n";
       return;
     }
     Entry e;
-    e.name = std::string(vectorize ? "tiled_simd" : "tiled_scalar") +
-             (stage_rows ? "" : "_unstaged") + " " + cfg.to_string();
+    e.name = std::string(vectorize ? "tiled_simd " : "tiled_scalar ") +
+             cfg.to_string();
     e.engine = vectorize ? "simd" : "scalar";
     e.config = cfg;
     e.tiled = true;
-    e.stage_rows = stage_rows;
-    record(std::move(e), run_tiled(cfg, vectorize, stage_rows));
+    record(std::move(e), run_tiled(cfg, vectorize));
   };
 
-  // Scalar engine (the seed's inner loop) over the seed shapes, staged and
-  // unstaged — the pre-SIMD, pre-tuning baseline.
-  for (const auto& cfg : shapes) add_tiled(cfg, false, true);
-  add_tiled(shapes[2], false, false);
+  // Scalar engine (the seed's inner loop) over the seed shapes — the
+  // pre-SIMD, pre-tuning baseline.
+  for (const auto& cfg : shapes) add_tiled(cfg, false);
 
   // SIMD engine over the same shapes (like-for-like), then the widened
-  // tuner axes: channel_block × unroll on every shape.
-  for (const auto& cfg : shapes) add_tiled(cfg, true, true);
-  add_tiled(shapes[2], true, false);
+  // tuner axes: channel_block × unroll on every shape. The blocks are a
+  // sixteenth and a quarter of the band (64 and 256 on Apertif, 2 and 8 on
+  // LOFAR), so both are real blocks on either setup.
+  for (const auto& cfg : shapes) add_tiled(cfg, true);
   for (const auto& base : shapes) {
-    for (std::size_t cb : {std::size_t{64}, std::size_t{256}}) {
+    for (std::size_t cb : {plan.channels() / 16, plan.channels() / 4}) {
       for (std::size_t un : {std::size_t{1}, std::size_t{4}}) {
         dedisp::KernelConfig cfg = base;
         cfg.channel_block = cb;
         cfg.unroll = un;
-        add_tiled(cfg, true, true);
+        add_tiled(cfg, true);
       }
     }
   }
@@ -209,7 +219,7 @@ int main(int argc, char** argv) {
   const Entry* best_scalar = nullptr;
   const Entry* best_simd = nullptr;
   for (const Entry& e : entries) {
-    if (e.engine == "scalar" && e.stage_rows) {
+    if (e.engine == "scalar") {
       if (!seed_scalar) seed_scalar = &e;  // first scalar entry = seed shape
       if (!best_scalar || e.gflops > best_scalar->gflops) best_scalar = &e;
     }
@@ -223,10 +233,13 @@ int main(int argc, char** argv) {
                "no tiled shape divides this plan; pick --dms/--out-samples "
                "with more divisors");
 
-  std::cout << "== measured host kernels, Apertif-reduced, " << dms
-            << " DMs x " << out_samples << " samples, "
+  const std::size_t nproc =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  std::cout << "== measured host kernels, " << obs.name() << "-reduced, "
+            << dms << " DMs x " << out_samples << " samples, "
             << plan.channels() << " channels, simd backend "
-            << simd::backend_name() << " ==\n\n";
+            << simd::backend_name() << ", " << nproc << " CPUs ==\n"
+            << DDMC_BENCH_COMPILER << " | " << DDMC_BENCH_FLAGS << "\n\n";
   TextTable table({"kernel", "GFLOP/s", "ms", "MB moved", "GB/s"});
   for (const Entry& e : entries) {
     table.add_row({e.name, TextTable::num(e.gflops, 2),
@@ -259,8 +272,7 @@ int main(int argc, char** argv) {
             .set("elem_time", e.config.elem_time)
             .set("elem_dm", e.config.elem_dm)
             .set("channel_block", e.config.channel_block)
-            .set("unroll", e.config.unroll)
-            .set("stage_rows", e.stage_rows);
+            .set("unroll", e.config.unroll);
       }
       o.set("seconds", e.seconds)
           .set("gflops", e.gflops)
@@ -271,11 +283,16 @@ int main(int argc, char** argv) {
     }
     bench::JsonObject root;
     root.set("bench", "bench_host_kernels")
+        .set("commit", cli.get("commit"))
+        .set("compiler", DDMC_BENCH_COMPILER)
+        .set("flags", DDMC_BENCH_FLAGS)
         .set("simd_backend", simd::backend_name())
         .set("simd_lanes", simd::kFloatLanes)
+        .set("nproc", nproc)
         .set("threads", threads)
+        .set("reps", reps)
         .set_raw("plan", bench::JsonObject()
-                             .set("observation", "Apertif")
+                             .set("observation", obs.name())
                              .set("dms", dms)
                              .set("out_samples", out_samples)
                              .set("channels", plan.channels())

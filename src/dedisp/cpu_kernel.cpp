@@ -24,20 +24,15 @@ struct TileScratch {
   /// cross into the next row.
   std::vector<float, AlignedAllocator<float>> acc;
   std::size_t acc_pitch = 0;
-  /// Staged input rows of the current (tile, channel-block), one pitched
-  /// row of samples per channel — the engine's "local memory". u8 rows
-  /// cost 1 byte per sample instead of 4.
-  std::vector<T, AlignedAllocator<T>> staging;
-  /// Per-channel base pointer of the current block (staged row or a
-  /// pointer straight into the input matrix).
+  /// Per-channel base pointer of the current block: the tile's input row,
+  /// read in place at in(ch, t0 + lo[ch]). The cache holds whatever the
+  /// tile's trials share; no copy is made.
   std::vector<const T*> src;
   /// Delay/shift table of the current DM tile, all channels:
   /// shifts[ch * tile_dm + dm] = Δ(dm0+dm, ch) − lo[ch].
   std::vector<std::size_t> shifts;
   /// Per-channel smallest delay over the tile's trials.
   std::vector<std::size_t> lo;
-  /// Per-channel staging span (largest − smallest delay + tile_time).
-  std::vector<std::size_t> span;
   /// DM tile the table was built for. The table depends on dm0 only, so
   /// consecutive time tiles of one DM row (workers sweep gt innermost)
   /// reuse it instead of rescanning the delay table.
@@ -47,30 +42,25 @@ struct TileScratch {
 
 /// Precompute the shift table of every channel for the DM tile
 /// [dm0, dm0+tile_dm), unless the scratch already holds it. The smallest
-/// and largest delay are scanned exactly (no monotonicity-in-DM
-/// assumption), so a pathological delay table sizes the staging buffer
-/// correctly instead of reading past it.
+/// delay is scanned exactly (no monotonicity-in-DM assumption), so every
+/// shift is non-negative for any delay table.
 template <typename T>
 void build_shift_table(const sky::DelayTable& delays, std::size_t dm0,
-                       std::size_t tile_dm, std::size_t tile_time,
-                       std::size_t channels, TileScratch<T>& s) {
+                       std::size_t tile_dm, std::size_t channels,
+                       TileScratch<T>& s) {
   if (s.shifts_valid && s.shifts_dm0 == dm0) return;
   s.shifts.resize(channels * tile_dm);
   s.lo.resize(channels);
-  s.span.resize(channels);
   for (std::size_t ch = 0; ch < channels; ++ch) {
     std::size_t lo = static_cast<std::size_t>(delays.delay(dm0, ch));
-    std::size_t hi = lo;
     std::size_t* row = &s.shifts[ch * tile_dm];
     for (std::size_t dm = 0; dm < tile_dm; ++dm) {
       const auto d = static_cast<std::size_t>(delays.delay(dm0 + dm, ch));
       row[dm] = d;
       lo = std::min(lo, d);
-      hi = std::max(hi, d);
     }
     for (std::size_t dm = 0; dm < tile_dm; ++dm) row[dm] -= lo;
     s.lo[ch] = lo;
-    s.span[ch] = (hi - lo) + tile_time;
   }
   s.shifts_dm0 = dm0;
   s.shifts_valid = true;
@@ -236,31 +226,16 @@ void process_tile(const Plan& plan, const KernelConfig& config,
 
   scratch.acc_pitch = round_up(tile_time, simd::kFloatLanes);
   scratch.acc.assign(tile_dm * scratch.acc_pitch, 0.0f);
-  build_shift_table(delays, dm0, tile_dm, tile_time, channels, scratch);
+  build_shift_table(delays, dm0, tile_dm, channels, scratch);
 
   for (std::size_t cb0 = 0; cb0 < channels; cb0 += block) {
-    const std::size_t cb1 = std::min(channels, cb0 + block);
-    const std::size_t nch = cb1 - cb0;
+    const std::size_t nch = std::min(channels, cb0 + block) - cb0;
 
-    // Resolve per-channel source rows; the staged path copies each span
-    // into the block-local staging buffer first (collaborative load: the
-    // span covers every read any work-item performs for that channel).
+    // Every read of this block lands in in(cb0+c, t0 + lo + shift + t)
+    // with t < tile_time, which the plan's in_samples covers.
     scratch.src.resize(nch);
-    if (options.stage_rows) {
-      const std::size_t max_span = *std::max_element(
-          scratch.span.begin() + cb0, scratch.span.begin() + cb1);
-      const std::size_t pitch = round_up(max_span, simd::kFloatLanes);
-      scratch.staging.resize(nch * pitch);
-      for (std::size_t c = 0; c < nch; ++c) {
-        T* dst = &scratch.staging[c * pitch];
-        const T* row = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
-        std::copy(row, row + scratch.span[cb0 + c], dst);
-        scratch.src[c] = dst;
-      }
-    } else {
-      for (std::size_t c = 0; c < nch; ++c) {
-        scratch.src[c] = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
-      }
+    for (std::size_t c = 0; c < nch; ++c) {
+      scratch.src[c] = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
     }
 
     if (options.vectorize) {

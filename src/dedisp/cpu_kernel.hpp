@@ -10,10 +10,19 @@
 ///  - the time dimension of every accumulate is explicitly vectorized
 ///    through the portable layer of common/simd.hpp (AVX/SSE2/NEON with a
 ///    scalar fallback), with a tunable unroll factor;
-///  - the channel loop is blocked (`KernelConfig::channel_block`) so the
-///    staged input rows and the tile's accumulators stay L1/L2-resident,
-///    and the per-(tile, channel-block) delay/shift tables are precomputed
-///    once so no delay lookup remains in the hot loops.
+///  - the channel loop is blocked (`KernelConfig::channel_block`): the
+///    tile's accumulators are loaded into registers and stored back once
+///    per channel block instead of once per channel, and the per-DM-tile
+///    delay/shift tables are precomputed once so no delay lookup remains
+///    in the hot loops.
+///
+/// Input rows are read in place: every tile adds its trials' shifted
+/// spans straight out of the input matrix, and the cache keeps what the
+/// trials share. Dedispersion is memory-bound, and on LOFAR-like bands
+/// most of a tile's input span is DM spread that no other trial of the
+/// tile reuses, so copying the spans into a local buffer first (the
+/// device kernel's local-memory path) would move about as many bytes as
+/// the accumulate itself.
 ///
 /// Every output element still accumulates its channels in channel order,
 /// so scalar, vectorized, blocked and threaded runs are all bit-identical
@@ -26,7 +35,7 @@
 ///
 ///  - the vector load: float rows load as they are, byte rows are widened
 ///    to float lanes inside the register tile (simd::vload_sample), so a
-///    u8 plane is one byte per sample from DRAM through staging;
+///    u8 plane is one byte per sample from DRAM up to the register file;
 ///  - the writeback epilogue: float tiles are copied out, u8 tiles hold
 ///    exact raw-code sums (below 2^24, i.e. for up to 65 793 channels) and
 ///    are dequantized once per output element, out = C·lo + scale·Σq.
@@ -45,10 +54,9 @@
 
 namespace ddmc::dedisp {
 
+/// Host-execution knobs of the tiled kernel. Neither changes a result:
+/// every combination is bitwise identical.
 struct CpuKernelOptions {
-  /// Stage each (channel, dm-tile) input span into a thread-local buffer
-  /// before accumulating (mirrors the device local-memory path).
-  bool stage_rows = true;
   /// Use the explicit SIMD engine; false runs the seed's scalar inner loop
   /// (the baseline the benchmarks compare against).
   bool vectorize = true;

@@ -17,9 +17,9 @@
 /// The host engine adds two knobs on top of the paper's four, both
 /// defaulted so that every device-model consumer keeps its semantics:
 ///  - `channel_block`: channels accumulated per pass over a tile before
-///    moving to the next block (0 = all channels in one pass). Blocking
-///    keeps the staged input rows and the tile's accumulators resident in
-///    L1/L2 — the host analogue of sizing local memory on a device.
+///    moving to the next block (0 = all channels in one pass). A block is
+///    one register round-trip of the tile's accumulators, and keeps the
+///    block's input rows and the accumulators resident in L1/L2.
 ///  - `unroll`: SIMD vectors per inner-loop iteration of the vectorized
 ///    accumulate (1 = no unrolling).
 

@@ -236,7 +236,7 @@ class CpuTiledEngine final : public CpuTiledBase {
 // ----------------------------------------------------------- cpu_tiled_u8 --
 
 /// The tiled kernel on quantized 8-bit samples: the sample plane is one
-/// byte per element from staging into the register tile, so the streamed
+/// byte per element up to the register tile, so the streamed
 /// input traffic is a quarter of cpu_tiled's — the decisive saving for a
 /// memory-bandwidth-bound kernel, and why real surveys record 8-bit data.
 ///

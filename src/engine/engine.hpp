@@ -92,7 +92,7 @@ struct EngineCapabilities {
 /// reads the fields it understands and ignores the rest, so one options
 /// struct configures any registry id.
 struct EngineOptions {
-  /// Host-execution knobs (staging, SIMD-vs-scalar, worker threads) of the
+  /// Host-execution knobs (SIMD-vs-scalar, worker threads) of the
   /// cpu engines; threads also drives the cpu_baseline pool.
   dedisp::CpuKernelOptions cpu;
   /// Two-stage split of the subband engine, and the default channel-split

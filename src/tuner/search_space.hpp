@@ -85,8 +85,8 @@ std::vector<dedisp::KernelConfig> dedupe_host_configs(
     const dedisp::Plan& plan, const std::vector<dedisp::KernelConfig>& configs,
     bool vectorize = true);
 
-/// Measurement knobs of a host sweep. The host-execution flags (staging,
-/// SIMD, threads) are not among them: they belong to the engine being
+/// Measurement knobs of a host sweep. The host-execution flags (SIMD,
+/// threads) are not among them: they belong to the engine being
 /// measured (engine::EngineOptions::cpu), which is also what the tuning
 /// cache keys on.
 struct HostTuningOptions {

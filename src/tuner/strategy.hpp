@@ -91,7 +91,7 @@ class ConfigEvaluator {
 /// measurement loop of the paper's method). The input is sized for the
 /// engine's declared input_padding, and GFLOP/s is always credited on
 /// plan.total_flop(), so measurements of *different* engines on one plan
-/// rank them by wall time. Host-execution flags (staging, SIMD, threads)
+/// rank them by wall time. Host-execution flags (SIMD, threads)
 /// are the engine's own options; \p options only sets the repetitions.
 class HostKernelEvaluator : public ConfigEvaluator {
  public:

@@ -128,7 +128,6 @@ HostSignature HostSignature::of(const engine::DedispEngine& engine) {
   sig.engine_id = engine.id();
   sig.variant = engine.variant();
   sig.threads = engine.options().cpu.threads;
-  sig.stage_rows = engine.options().cpu.stage_rows;
   return sig;
 }
 
@@ -140,7 +139,7 @@ HostSignature HostSignature::of(const dedisp::CpuKernelOptions& options) {
 
 std::string HostSignature::encode() const {
   return engine_id + "|" + variant + "|t" + std::to_string(threads) + "|" +
-         (stage_rows ? "staged" : "direct");
+         (staged ? "staged" : "direct");
 }
 
 std::optional<HostSignature> HostSignature::decode(const std::string& text) {
@@ -164,7 +163,7 @@ std::optional<HostSignature> HostSignature::decode(const std::string& text) {
   sig.engine_id = base == 1 ? parts[0] : std::string(engine::kDefaultEngineId);
   sig.variant = parts[base];
   sig.threads = *threads;
-  sig.stage_rows = parts[base + 2] == "staged";
+  sig.staged = parts[base + 2] == "staged";
   return sig;
 }
 

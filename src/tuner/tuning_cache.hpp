@@ -43,27 +43,32 @@ namespace ddmc::tuner {
 /// What the tuned numbers were measured *on*: the registry engine id (a
 /// first-class tuning axis — platform choice is itself a tuning decision),
 /// its execution variant (the compiled SIMD backend, the scalar loop, a
-/// device preset), the staging mode and the thread count. Configs tuned
-/// under a different engine do not transfer — an AVX optimum says little
-/// about the scalar loop, and nothing about the subband split — so every
-/// cache operation filters on this first.
+/// device preset) and the thread count. Configs tuned under a different
+/// engine do not transfer — an AVX optimum says little about the scalar
+/// loop, and nothing about the subband split — so every cache operation
+/// filters on this first.
 struct HostSignature {
   std::string engine_id = engine::kDefaultEngineId;  ///< registry id
   std::string variant;     ///< DedispEngine::variant() of the measured run
   std::size_t threads = 0; ///< CpuKernelOptions::threads (0 = machine pool)
-  bool stage_rows = true;
+  /// True only for rows decoded from older caches that timed the tiled
+  /// kernel's since-removed staging copy. of() never sets it, so such a
+  /// row is never an exact hit or a transfer source for a live engine; it
+  /// is kept (and re-saved) only so old cache files load unchanged.
+  bool staged = false;
 
-  /// Signature of \p engine as configured (id, variant, thread count and
-  /// staging mode from its options).
+  /// Signature of \p engine as configured (id, variant and thread count
+  /// from its options).
   static HostSignature of(const engine::DedispEngine& engine);
 
   /// Signature of the default cpu_tiled engine under \p options.
   static HostSignature of(const dedisp::CpuKernelOptions& options);
 
-  /// "engine_id|variant|t<threads>|staged" — the cache's `device` column.
-  /// decode() also accepts the legacy three-part "variant|t<threads>|staged"
-  /// form (caches written before the engine axis existed), which maps to
-  /// the cpu_tiled engine.
+  /// "engine_id|variant|t<threads>|direct" — the cache's `device` column
+  /// ("staged" in the last field for a legacy staged row). decode() also
+  /// accepts the legacy three-part "variant|t<threads>|<mode>" form (caches
+  /// written before the engine axis existed), which maps to the cpu_tiled
+  /// engine.
   std::string encode() const;
   static std::optional<HostSignature> decode(const std::string& text);
 
@@ -188,7 +193,7 @@ struct GuidedTuningOptions {
   /// Measurement knobs (repetitions, warmup runs).
   HostTuningOptions host;
   /// Factory knobs of every raced engine: the host-execution flags
-  /// (cpu: staging, SIMD, threads) — the source of the host signature —
+  /// (cpu: SIMD, threads) — the source of the host signature —
   /// plus engine-specific ones (the subband split, the ocl_sim device).
   engine::EngineOptions engine_options;
   /// Strategy for the search fallback.

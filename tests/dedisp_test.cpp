@@ -192,27 +192,25 @@ TEST(Reference, RejectsWrongShapes) {
 // ----------------------------------------------- tiled CPU kernel (sweep) --
 
 /// Property sweep: every meaningful tiling must reproduce the reference
-/// bit-for-bit, staged or not, threaded or inline.
+/// bit-for-bit, threaded or inline.
 class CpuKernelEquivalence
     : public ::testing::TestWithParam<KernelConfig> {};
 
-TEST_P(CpuKernelEquivalence, MatchesReferenceStagedInline) {
+TEST_P(CpuKernelEquivalence, MatchesReferenceInline) {
   const Plan plan = mini_plan(8, 64);
   const Array2D<float> in = random_input(plan);
   const Array2D<float> expected = dedisperse_reference(plan, in.cview());
   CpuKernelOptions opt;
-  opt.stage_rows = true;
   opt.threads = 1;
   const Array2D<float> got = dedisperse_cpu(plan, GetParam(), in.cview(), opt);
   expect_same_matrix(expected, got);
 }
 
-TEST_P(CpuKernelEquivalence, MatchesReferenceUnstagedThreaded) {
+TEST_P(CpuKernelEquivalence, MatchesReferenceThreaded) {
   const Plan plan = mini_plan(8, 64);
   const Array2D<float> in = random_input(plan);
   const Array2D<float> expected = dedisperse_reference(plan, in.cview());
   CpuKernelOptions opt;
-  opt.stage_rows = false;
   opt.threads = 3;
   const Array2D<float> got = dedisperse_cpu(plan, GetParam(), in.cview(), opt);
   expect_same_matrix(expected, got);
@@ -274,15 +272,11 @@ TEST(CpuKernel, ChannelBlockAndUnrollAreBitExact) {
       KernelConfig cfg{4, 2, 2, 2};
       cfg.channel_block = cb;
       cfg.unroll = unroll;
-      for (bool staged : {true, false}) {
-        CpuKernelOptions opt;
-        opt.stage_rows = staged;
-        opt.threads = 1;
-        const Array2D<float> got =
-            dedisperse_cpu(plan, cfg, in.cview(), opt);
-        SCOPED_TRACE(cfg.to_string() + (staged ? " staged" : " unstaged"));
-        expect_same_matrix(expected, got);
-      }
+      CpuKernelOptions opt;
+      opt.threads = 1;
+      const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
+      SCOPED_TRACE(cfg.to_string());
+      expect_same_matrix(expected, got);
     }
   }
 }
@@ -302,8 +296,27 @@ TEST(CpuKernel, ScalarEngineMatchesSimdEngine) {
                      dedisperse_cpu(plan, cfg, in.cview(), simd_opt));
 }
 
+/// Exact oracle of the u8 kernel: the channel-ordered integer sum of the
+/// shifted codes, dequantized once per output element as C·lo + scale·Σq.
+Array2D<float> u8_oracle(const Plan& plan, const Array2D<std::uint8_t>& codes,
+                         const QuantizationParams& quant) {
+  Array2D<float> expected(plan.dms(), plan.out_samples());
+  const float base = static_cast<float>(plan.channels()) * quant.lo;
+  for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
+    for (std::size_t t = 0; t < plan.out_samples(); ++t) {
+      std::uint32_t sum = 0;
+      for (std::size_t ch = 0; ch < plan.channels(); ++ch) {
+        sum += codes(ch, t + static_cast<std::size_t>(
+                                 plan.delays().delay(dm, ch)));
+      }
+      expected(dm, t) = base + quant.scale() * static_cast<float>(sum);
+    }
+  }
+  return expected;
+}
+
 /// Seeded randomized property sweep: random plan shapes, random extended
-/// configs (channel_block/unroll included), staged/unstaged, scalar/SIMD,
+/// configs (channel_block/unroll included), scalar/SIMD,
 /// inline and threaded — every combination must reproduce the reference
 /// bit-for-bit. The u8 instantiation of the kernel runs the same config
 /// and options on the quantized plane and must reproduce the exact
@@ -343,13 +356,11 @@ TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
     cfg.unroll = pick({1, 2, 4, 8});  // the validated set
 
     CpuKernelOptions opt;
-    opt.stage_rows = (gen() % 2) == 0;
     opt.vectorize = (gen() % 4) != 0;  // bias toward the SIMD engine
     opt.threads = pick({1, 2, 3});
     SCOPED_TRACE("iter " + std::to_string(iter) + " ch=" +
                  std::to_string(channels) + " dms=" + std::to_string(dms) +
                  " out=" + std::to_string(out) + " cfg=" + cfg.to_string() +
-                 (opt.stage_rows ? " staged" : " unstaged") +
                  (opt.vectorize ? " simd" : " scalar") + " threads=" +
                  std::to_string(opt.threads));
     const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
@@ -358,28 +369,16 @@ TEST(CpuKernel, RandomizedExtendedConfigsMatchReference) {
     const dedisp::QuantizationParams quant{-1.0f, 1.0f};
     const Array2D<std::uint8_t> codes =
         dedisp::quantize_plane(plan, in.cview(), quant);
-    Array2D<float> expected_u8(plan.dms(), plan.out_samples());
-    const float base = static_cast<float>(channels) * quant.lo;
-    for (std::size_t dm = 0; dm < plan.dms(); ++dm) {
-      for (std::size_t t = 0; t < plan.out_samples(); ++t) {
-        std::uint32_t sum = 0;
-        for (std::size_t ch = 0; ch < channels; ++ch) {
-          sum += codes(ch, t + static_cast<std::size_t>(
-                                   plan.delays().delay(dm, ch)));
-        }
-        expected_u8(dm, t) = base + quant.scale() * static_cast<float>(sum);
-      }
-    }
     expect_same_matrix(
-        expected_u8,
+        u8_oracle(plan, codes, quant),
         dedisp::dedisperse_cpu_u8(plan, cfg, codes.cview(), quant, opt));
   }
 }
 
-TEST(CpuKernel, StagingSpanEdgeCases) {
-  // Steep delay tables (large dm_step) make the staged span of the deepest
-  // DM tile reach the very end of the input matrix; the staged and
-  // unstaged paths must agree with the reference at that edge.
+TEST(CpuKernel, InPlaceReadsAtTheInputEdge) {
+  // Steep delay tables (large dm_step) make the deepest DM tile read the
+  // very last column of the input matrix; the in-place reads must agree
+  // with the reference at that edge.
   for (double dm_step : {2.0, 4.0, 8.0}) {
     const sky::Observation obs = mini_obs(8, dm_step);
     const Plan plan = Plan::with_output_samples(obs, 16, 32);
@@ -388,14 +387,45 @@ TEST(CpuKernel, StagingSpanEdgeCases) {
     // tile_dm = dms: one tile spans the full delay spread per channel.
     KernelConfig cfg{4, 4, 8, 4};
     cfg.channel_block = 2;
-    for (bool staged : {true, false}) {
+    CpuKernelOptions opt;
+    opt.threads = 1;
+    SCOPED_TRACE("dm_step=" + std::to_string(dm_step));
+    const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
+    expect_same_matrix(expected, got);
+  }
+}
+
+TEST(CpuKernel, LofarTileSpanningEveryTrialMatchesOracles) {
+  // The low-reuse regime: on LOFAR one DM step shifts the lowest channel by
+  // ~900 samples, so a tile spanning every trial reads rows thousands of
+  // samples apart, and its deepest trial reads the input's last column
+  // (in_samples = out_samples + max_delay). Two 60-sample time tiles; with
+  // 8-lane vectors each ends in a scalar tail, which makes the edge read.
+  const Plan plan = Plan::with_output_samples(sky::lofar(), 8, 120);
+  ASSERT_EQ(plan.channels(), 32u);
+  ASSERT_EQ(plan.in_samples(),
+            plan.out_samples() +
+                static_cast<std::size_t>(plan.delays().max_delay()));
+  const Array2D<float> in = random_input(plan, 31);
+  const Array2D<float> expected = dedisperse_reference(plan, in.cview());
+  const QuantizationParams quant{-1.0f, 1.0f};
+  const Array2D<std::uint8_t> codes = quantize_plane(plan, in.cview(), quant);
+  const Array2D<float> expected_u8 = u8_oracle(plan, codes, quant);
+
+  std::vector<KernelConfig> configs = {KernelConfig{15, 2, 4, 4},
+                                       KernelConfig{60, 1, 1, 8}};
+  configs[0].channel_block = 5;
+  configs[1].unroll = 2;
+  for (const KernelConfig& cfg : configs) {
+    ASSERT_EQ(cfg.tile_dm(), plan.dms());
+    for (std::size_t threads : {1ul, 3ul}) {
       CpuKernelOptions opt;
-      opt.stage_rows = staged;
-      opt.threads = 1;
-      SCOPED_TRACE("dm_step=" + std::to_string(dm_step) +
-                   (staged ? " staged" : " unstaged"));
-      const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
-      expect_same_matrix(expected, got);
+      opt.threads = threads;
+      SCOPED_TRACE(cfg.to_string() + " threads=" + std::to_string(threads));
+      expect_same_matrix(expected, dedisperse_cpu(plan, cfg, in.cview(), opt));
+      expect_same_matrix(expected_u8,
+                         dedisperse_cpu_u8(plan, cfg, codes.cview(), quant,
+                                           opt));
     }
   }
 }

@@ -692,9 +692,61 @@ TEST(TuningCacheTest, SignaturesRoundTripThroughEncode) {
   EXPECT_EQ(legacy->engine_id, "cpu_tiled");
   EXPECT_EQ(legacy->variant, "scalar");
   EXPECT_EQ(legacy->threads, 3u);
+  EXPECT_TRUE(legacy->staged);
+  // Live engines always sign as in-place ("direct") readers.
+  EXPECT_FALSE(hsig.staged);
+  EXPECT_EQ(hsig.encode(), "cpu_tiled|scalar|t3|direct");
 
   EXPECT_FALSE(PlanSignature::decode("not a signature").has_value());
   EXPECT_FALSE(HostSignature::decode("HD7970").has_value());
+}
+
+TEST(TuningCacheTest, StagedRowsFromOlderCachesLoadButNeverAnswer) {
+  // Caches written before the tiled kernel lost its staging copy hold
+  // "...|staged" rows. They must load (no quarantine), but they timed a
+  // kernel that no longer exists: a lookup for the same plan neither hits
+  // nor transfers from them, and the cold search stores a "direct" row.
+  const std::string path =
+      ::testing::TempDir() + "ddmc_staged_cache_test.csv";
+  std::remove(path.c_str());
+  const Plan plan = mini_plan(8, 64);
+  GuidedTuningOptions opt;
+  opt.host.repetitions = 1;
+  opt.host.warmup_runs = 0;
+  opt.engine_options.cpu.threads = 3;
+  opt.strategy = StrategyKind::kRandom;
+  opt.random_samples = 3;
+
+  const HostSignature live = HostSignature::of(opt.engine_options.cpu);
+  const auto staged = HostSignature::decode("cpu_tiled|" + live.variant +
+                                            "|t3|staged");
+  ASSERT_TRUE(staged.has_value());
+  {
+    TuningCache cache(path);
+    CacheEntry entry;
+    entry.host = *staged;
+    entry.plan = PlanSignature::of(plan);
+    entry.config = engine::encode_kernel_config(KernelConfig{8, 1, 1, 1});
+    entry.gflops = 1.0;
+    entry.seconds = 1e-3;
+    cache.store(entry);
+  }
+
+  TuningCache cache(path);
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.entries().front().host.staged);
+  EXPECT_EQ(cache.entries().front().host.encode(),
+            "cpu_tiled|" + live.variant + "|t3|staged");
+  EXPECT_FALSE(cache.find_exact(live, PlanSignature::of(plan)).has_value());
+
+  const GuidedTuningOutcome cold = tune_guided(plan, cache, opt);
+  EXPECT_EQ(cold.source, GuidedTuningOutcome::Source::kSearch);
+  EXPECT_GT(cold.configs_evaluated, 0u);
+  ASSERT_EQ(cache.size(), 2u);
+  const auto stored = cache.find_exact(live, PlanSignature::of(plan));
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->host.encode(), "cpu_tiled|" + live.variant + "|t3|direct");
+  std::remove(path.c_str());
 }
 
 TEST(TuningCacheTest, HostileObservationNamesCannotCorruptTheCache) {
