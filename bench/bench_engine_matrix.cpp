@@ -165,7 +165,8 @@ int main(int argc, char** argv) {
 
   Array2D<float> reference_out(plan.dms(), plan.out_samples());
   engine::make_engine("reference")
-      ->execute(plan, untuned, input.cview(), reference_out.view());
+      ->execute(plan, engine::EngineConfig{}, input.cview(),
+                reference_out.view());
 
   std::vector<EngineResult> results;
   for (const std::string& id : engine::EngineRegistry::instance().ids()) {

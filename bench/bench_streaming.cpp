@@ -3,19 +3,29 @@
 /// per-chunk latency does a real-time session see?
 ///
 /// For each chunk size the bench feeds the identical input through a
-/// StreamingDedisperser (inline compute, so wall time is the work itself)
-/// and reports throughput, the ratio against batch, per-chunk latency
-/// percentiles, and the real-time margin — seconds of sky dedispersed per
-/// wall second, the number that decides whether a survey backend keeps up.
+/// StreamingDedisperser of --beams beams (inline compute by default, so
+/// wall time is the work itself) and reports throughput, the ratio against
+/// batch (one batch run per beam), per-chunk latency percentiles, and the
+/// real-time margin — seconds of sky dedispersed per wall second for all
+/// beams, the number that decides whether a survey backend keeps up.
 /// Smaller chunks pay the overlap more often (each window re-stages
 /// max_delay extra samples) and lose tile efficiency, which is the latency
-/// ↔ throughput trade-off the chunk-size column quantifies.
+/// ↔ throughput trade-off the chunk-size column quantifies. Every beam is
+/// fed a view of the same input matrix, so the bench's own memory does not
+/// grow with the beam count (the session's windows do).
 ///
 ///   ./bench_streaming [--dms 16] [--seconds 2] [--reps 3] [--threads 1]
+///                     [--beams 1] [--async] [--commit C]
 ///                     [--json BENCH_streaming.json]
+///
+/// The JSON output records provenance (commit, compiler and flags, SIMD
+/// backend, host CPUs). BENCH_streaming.json is the JSON array of four
+/// runs: --beams 1 and --beams 4, each sync and --async.
 
+#include <algorithm>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -25,6 +35,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "dedisp/cpu_kernel.hpp"
+#include "engine/engine_config.hpp"
 #include "sky/observation.hpp"
 #include "stream/streaming_dedisperser.hpp"
 
@@ -51,6 +62,8 @@ int main(int argc, char** argv) {
   cli.add_option("seconds", "seconds of data to stream", "2");
   cli.add_option("reps", "timed repetitions", "3");
   cli.add_option("threads", "worker threads (1 = inline)", "1");
+  cli.add_option("beams", "beams the session dedisperses in lockstep", "1");
+  cli.add_option("commit", "source commit stamped into the JSON", "unknown");
   cli.add_option("json", "write machine-readable results to this path", "");
   cli.add_flag("async", "run chunks on the double-buffered compute thread "
                         "instead of inline on the feeding thread");
@@ -60,6 +73,9 @@ int main(int argc, char** argv) {
   const auto seconds = static_cast<std::size_t>(cli.get_int("seconds"));
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto threads = static_cast<std::size_t>(cli.get_int("threads"));
+  const auto beams = static_cast<std::size_t>(cli.get_int("beams"));
+  DDMC_REQUIRE(beams > 0, "--beams must be positive");
+  const bool async = cli.get_flag("async");
 
   const sky::Observation obs = sky::apertif();
   const std::size_t total_out = seconds * obs.samples_per_second();
@@ -71,22 +87,28 @@ int main(int argc, char** argv) {
   dedisp::KernelConfig config{50, 2, 4, 2, 32, 4};
   DDMC_REQUIRE(config.divides(batch_plan),
                "pick --dms/--seconds the 200x4 tile divides");
+  const engine::EngineConfig session_config =
+      engine::encode_kernel_config(config);
 
   Array2D<float> input(batch_plan.channels(), batch_plan.in_samples());
   Rng rng(1234);
   for (std::size_t ch = 0; ch < input.rows(); ++ch) {
     for (auto& v : input.row(ch)) v = rng.next_float(-1.0f, 1.0f);
   }
-  const double flop = batch_plan.total_flop();
+  const std::vector<ConstView2D<float>> beam_inputs(beams, input.cview());
+  const double flop = batch_plan.total_flop() * static_cast<double>(beams);
 
   dedisp::CpuKernelOptions cpu;
   cpu.threads = threads;
 
-  // Batch reference: the one-shot path the streaming session must match.
+  // Batch reference: the one-shot path the streaming session must match,
+  // once per beam.
   Array2D<float> batch_out(batch_plan.dms(), batch_plan.out_samples());
   auto run_batch = [&] {
-    dedisp::dedisperse_cpu(batch_plan, config, input.cview(),
-                           batch_out.view(), cpu);
+    for (std::size_t b = 0; b < beams; ++b) {
+      dedisp::dedisperse_cpu(batch_plan, config, input.cview(),
+                             batch_out.view(), cpu);
+    }
   };
   run_batch();  // warmup
   double batch_seconds = 0.0;
@@ -112,17 +134,18 @@ int main(int argc, char** argv) {
 
     stream::StreamingOptions opts;
     opts.cpu = cpu;
+    opts.beams = beams;
     // Default inline: big feeds ride the zero-copy fast path, so this
     // measures the chunked kernel work itself. --async moves chunks to the
     // compute thread (the ragged-feed deployment shape), which adds a
     // handoff copy that contends with the memory-bound kernel.
-    opts.async = cli.get_flag("async");
+    opts.async = async;
 
     auto run_stream = [&](bool keep_latency) {
       stream::StreamingDedisperser session(
-          batch_plan.with_chunk(chunk_samples), config, nullptr, opts);
+          batch_plan.with_chunk(chunk_samples), session_config, nullptr, opts);
       Stopwatch clock;
-      session.push(input.cview());
+      session.push(beam_inputs);
       session.close();
       const double wall = clock.seconds();
       if (keep_latency) {
@@ -143,11 +166,16 @@ int main(int argc, char** argv) {
   }
   DDMC_REQUIRE(!results.empty(), "no chunk size fits --seconds");
 
-  std::cout << "== streaming vs batch, " << obs.name() << ", " << dms
-            << " DMs x " << seconds << " s (" << total_out
-            << " samples), overlap " << batch_plan.max_delay()
-            << " samples, config " << config.to_string() << ", threads "
-            << threads << ", simd " << simd::backend_name() << " ==\n\n"
+  const std::size_t nproc =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  std::cout << "== streaming vs batch, " << obs.name() << ", " << beams
+            << (beams == 1 ? " beam x " : " beams x ") << dms << " DMs x "
+            << seconds << " s (" << total_out << " samples), overlap "
+            << batch_plan.max_delay() << " samples, config "
+            << config.to_string() << ", threads " << threads
+            << (async ? ", async" : ", sync") << ", simd "
+            << simd::backend_name() << ", " << nproc << " CPUs ==\n"
+            << DDMC_BENCH_COMPILER << " | " << DDMC_BENCH_FLAGS << "\n\n"
             << "batch: " << TextTable::num(batch_gflops, 2) << " GFLOP/s ("
             << TextTable::num(batch_seconds * 1e3, 1) << " ms)\n\n";
 
@@ -187,8 +215,14 @@ int main(int argc, char** argv) {
     }
     bench::JsonObject root;
     root.set("bench", "bench_streaming")
+        .set("commit", cli.get("commit"))
+        .set("compiler", DDMC_BENCH_COMPILER)
+        .set("flags", DDMC_BENCH_FLAGS)
         .set("simd_backend", simd::backend_name())
+        .set("nproc", nproc)
         .set("threads", threads)
+        .set("beams", beams)
+        .set("async", async)
         .set("config", config.to_string())
         .set_raw("plan", bench::JsonObject()
                              .set("observation", obs.name())

@@ -27,6 +27,7 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "dedisp/plan.hpp"
+#include "engine/engine_config.hpp"
 #include "resilience/fault_injection.hpp"
 #include "sky/detection.hpp"
 #include "sky/signal.hpp"
@@ -92,7 +93,7 @@ int main(int argc, char** argv) {
 
   TextTable chunks({"chunk", "window [s]", "best DM", "peak S/N", "compute"});
   stream::StreamingDedisperser session(
-      chunk_plan, config,
+      chunk_plan, engine::encode_kernel_config(config),
       [&](const stream::StreamChunk& chunk) {
         const double t0 =
             static_cast<double>(chunk.first_sample) / obs.sampling_rate();
@@ -100,8 +101,9 @@ int main(int argc, char** argv) {
         chunks.add_row(
             {std::to_string(chunk.index),
              TextTable::num(t0, 2) + " - " + TextTable::num(t1, 2),
-             TextTable::num(obs.dm_value(chunk.detection->best_trial), 2),
-             TextTable::num(chunk.detection->best_snr, 1),
+             TextTable::num(
+                 obs.dm_value(chunk.candidate->detection.best_trial), 2),
+             TextTable::num(chunk.candidate->detection.best_snr, 1),
              TextTable::num(chunk.timing.compute_seconds * 1e3, 1) + " ms"});
       },
       opts);

@@ -27,6 +27,7 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "dedisp/plan.hpp"
+#include "engine/engine_config.hpp"
 #include "resilience/fault_injection.hpp"
 #include "sky/signal.hpp"
 #include "stream/streaming_dedisperser.hpp"
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
 
   std::size_t emitted = 0;
   stream::StreamingDedisperser session(
-      chunk_plan, config,
+      chunk_plan, engine::encode_kernel_config(config),
       [&](const stream::StreamChunk& chunk) { emitted += chunk.out_samples; },
       opts);
 

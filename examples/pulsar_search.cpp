@@ -14,6 +14,7 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "engine/engine_config.hpp"
 #include "pipeline/dedisperser.hpp"
 #include "sky/delay.hpp"
 #include "sky/detection.hpp"
@@ -35,7 +36,11 @@ int main(int argc, char** argv) {
   const double true_dm = cli.get_double("dm");
 
   pipeline::Dedisperser dd(obs, dms, cli.get("engine"));
-  dd.set_config(dedisp::KernelConfig{50, 2, 4, 2});
+  // The tiled shape only reaches an engine that declares the kernel axes;
+  // any other engine runs its own defaults.
+  dd.set_config(engine::restrict_to_axes(
+      engine::encode_kernel_config(dedisp::KernelConfig{50, 2, 4, 2}),
+      dd.engine().config_axes(dd.plan())));
   dedisp::CpuKernelOptions cpu_options;
   cpu_options.threads = static_cast<std::size_t>(cli.get_int("threads"));
   dd.set_cpu_options(cpu_options);

@@ -17,6 +17,7 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "dedisp/plan.hpp"
+#include "engine/registry.hpp"
 #include "sky/detection.hpp"
 #include "sky/signal.hpp"
 #include "stream/ring_buffer.hpp"
@@ -85,8 +86,13 @@ int main(int argc, char** argv) {
   opts.engine = cli.get("engine");
   opts.detect = true;
   opts.cpu.threads = static_cast<std::size_t>(cli.get_int("threads"));
+  // The tiled shape only reaches an engine that declares the kernel axes;
+  // any other engine runs its own defaults.
+  const engine::EngineConfig engine_config = engine::restrict_to_axes(
+      engine::encode_kernel_config(config),
+      engine::make_engine(opts.engine)->config_axes(chunk_plan));
   stream::StreamingDedisperser session(
-      chunk_plan, config,
+      chunk_plan, engine_config,
       [&](const stream::StreamChunk& chunk) {
         const double t0 =
             static_cast<double>(chunk.first_sample) / obs.sampling_rate();
@@ -94,8 +100,9 @@ int main(int argc, char** argv) {
         chunks.add_row(
             {std::to_string(chunk.index),
              TextTable::num(t0, 2) + " - " + TextTable::num(t1, 2),
-             TextTable::num(obs.dm_value(chunk.detection->best_trial), 2),
-             TextTable::num(chunk.detection->best_snr, 1),
+             TextTable::num(
+                 obs.dm_value(chunk.candidate->detection.best_trial), 2),
+             TextTable::num(chunk.candidate->detection.best_snr, 1),
              TextTable::num(chunk.timing.compute_seconds * 1e3, 1) + " ms",
              TextTable::num(chunk.timing.latency_seconds * 1e3, 1) + " ms"});
       },

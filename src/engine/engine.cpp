@@ -102,20 +102,6 @@ std::string DedispEngine::config_key(const dedisp::Plan& plan,
 }
 
 EngineRun DedispEngine::execute(const dedisp::Plan& plan,
-                                const dedisp::KernelConfig& config,
-                                ConstView2D<float> in,
-                                View2D<float> out) const {
-  // Legacy entry point: a KernelConfig is the tiled engines' shape. An
-  // engine that does not declare those axes runs its defaults instead of
-  // rejecting the foreign parameterization (restrict_to_axes keeps all
-  // six axes — and strict validation — on the engines that declare them).
-  return execute(plan,
-                 restrict_to_axes(encode_kernel_config(config),
-                                  config_axes(plan)),
-                 in, out);
-}
-
-EngineRun DedispEngine::execute(const dedisp::Plan& plan,
                                 const EngineConfig& config,
                                 ConstView2D<float> in,
                                 View2D<float> out) const {

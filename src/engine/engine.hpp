@@ -131,7 +131,7 @@ struct EngineRun {
 };
 
 /// Per-session aggregate of EngineRun artifacts. Every consumer that owns
-/// a sequence of engine executions (Dedisperser and the streaming sessions,
+/// a sequence of engine executions (Dedisperser and the streaming session,
 /// from the per-call totals pipeline::Executor returns) accumulates one of
 /// these and exposes it via its telemetry() accessor, so traffic counters
 /// survive the sharded and streaming paths instead of being dropped at the
@@ -228,13 +228,6 @@ class DedispEngine {
   /// registers.
   EngineRun execute(const dedisp::Plan& plan, const EngineConfig& config,
                     ConstView2D<float> in, View2D<float> out) const;
-
-  /// KernelConfig convenience: \p config re-encoded as the six kernel
-  /// axes. Engines that do not interpret them ignore it, exactly as they
-  /// ignored the KernelConfig before the axes became engine-native.
-  EngineRun execute(const dedisp::Plan& plan,
-                    const dedisp::KernelConfig& config, ConstView2D<float> in,
-                    View2D<float> out) const;
 
  protected:
   /// The engine's actual execution path; contract as execute() above.

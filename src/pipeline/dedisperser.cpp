@@ -58,14 +58,6 @@ tuner::GuidedTuningOutcome Dedisperser::tune_cached(
   return outcome;
 }
 
-void Dedisperser::set_config(const dedisp::KernelConfig& config) {
-  config.validate(plan_);
-  // Legacy kernel-shaped configs degrade to the axes the engine declares.
-  config_ = engine::restrict_to_axes(engine::encode_kernel_config(config),
-                                     engine_->config_axes(plan_));
-  executor_.reset();
-}
-
 void Dedisperser::set_config(const engine::EngineConfig& config) {
   engine_->validate_config(plan_, config);
   config_ = config;

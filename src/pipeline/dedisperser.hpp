@@ -20,9 +20,9 @@
 /// the engine's declared capabilities.
 ///
 /// For samples that *arrive* instead of sitting in memory, use the
-/// streaming sessions in stream/streaming_dedisperser.hpp: they run any
-/// streaming-capable engine chunk-by-chunk with bounded-ring ingest and
-/// latency accounting.
+/// streaming session in stream/streaming_dedisperser.hpp: it runs any
+/// streaming-capable engine chunk-by-chunk, over one or more beams, with
+/// bounded-ring ingest and latency accounting.
 
 #include <memory>
 #include <optional>
@@ -87,11 +87,9 @@ class Dedisperser {
   tuner::GuidedTuningOutcome tune_cached(
       tuner::TuningCache& cache, tuner::GuidedTuningOptions options = {});
 
-  /// Set an explicit kernel-shape configuration (validated against the
-  /// plan; stored as its kernel-axes encoding).
-  void set_config(const dedisp::KernelConfig& config);
   /// Set an explicit engine-native configuration (validated by the engine:
-  /// unknown axes and plan-incompatible values throw ddmc::config_error).
+  /// unknown axes and plan-incompatible values throw ddmc::config_error;
+  /// a tiled kernel shape is engine::encode_kernel_config of it).
   void set_config(const engine::EngineConfig& config);
   const engine::EngineConfig& config() const { return config_; }
 

@@ -403,8 +403,12 @@ engine::SessionTraffic Executor::run(
   DDMC_REQUIRE(out_samples > 0 && out_samples <= plan_.out_samples(),
                "chunk must cover 1.." + std::to_string(plan_.out_samples()) +
                    " output samples");
+  // A full chunk runs the executor's own plan and config by reference: the
+  // streaming hot path copies neither per call.
   const bool full = out_samples == plan_.out_samples();
-  const dedisp::Plan chunk = full ? plan_ : plan_.with_chunk(out_samples);
+  std::optional<dedisp::Plan> partial;
+  if (!full) partial = plan_.with_chunk(out_samples);
+  const dedisp::Plan& chunk = full ? plan_ : *partial;
   // Caller-side shape misuse fails synchronously; only *job* failures
   // enter the supervision machinery (retry/reacquire/aggregate).
   for (std::size_t b = 0; b < beams.size(); ++b) {
@@ -424,7 +428,8 @@ engine::SessionTraffic Executor::run(
                  beam() + ": output too short");
   }
 
-  const engine::EngineConfig config = full ? config_ : engine::EngineConfig{};
+  const engine::EngineConfig defaults;
+  const engine::EngineConfig& config = full ? config_ : defaults;
   if (!pool_ || beams.size() * shard_count() == 1) {
     // One worker (hence one shard) or a one-job grid: plain engine calls
     // on the caller's thread with the caller's cpu.threads.

@@ -7,7 +7,7 @@
 /// deployments split the DM range across many devices (Sclocco et al.
 /// 1601.01165; Barsdell et al. 1201.5380); this module is the host-side
 /// step those backends plug into, and the only code that cuts the grid —
-/// the batch Dedisperser and both streaming sessions drive an Executor:
+/// the batch Dedisperser and the streaming session drive an Executor:
 ///
 ///  - DmShardPlanner cuts a plan's DM grid into contiguous per-worker
 ///    ranges balanced by *modeled cost* (derived from ocl::PerfEstimate),

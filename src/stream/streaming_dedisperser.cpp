@@ -32,6 +32,7 @@ engine::EngineOptions engine_factory_options(const StreamingOptions& options) {
 std::unique_ptr<const pipeline::Executor> session_executor(
     const dedisp::Plan& plan, engine::EngineConfig config,
     const StreamingOptions& options) {
+  DDMC_REQUIRE(options.beams > 0, "a streaming session needs a beam");
   pipeline::ExecutorOptions executor;
   executor.workers = options.shard_workers >= 2 ? options.shard_workers : 1;
   executor.engine = options.engine;
@@ -66,20 +67,20 @@ std::size_t session_input_padding(const StreamingOptions& options,
   return std::max(padding, fallback->capabilities().input_padding);
 }
 
-/// A legacy KernelConfig is a tiled-engine parameterization; when the
-/// session runs another engine, only the axes that engine declares carry
-/// over (pre-EngineConfig sessions ignored the foreign config entirely) —
-/// the tiled engines keep all six axes and stay strictly validated.
-engine::EngineConfig legacy_config(const dedisp::Plan& plan,
-                                   const dedisp::KernelConfig& config,
-                                   const StreamingOptions& options) {
-  return engine::restrict_to_axes(
-      engine::encode_kernel_config(config),
-      engine::make_engine(options.engine, engine_factory_options(options))
-          ->config_axes(plan));
-}
-
 }  // namespace
+
+StreamingDedisperser::BeamOutputs::BeamOutputs(std::size_t beams,
+                                               std::size_t dms,
+                                               std::size_t out_samples) {
+  matrices.reserve(beams);
+  views.reserve(beams);
+  cviews.reserve(beams);
+  for (std::size_t b = 0; b < beams; ++b) {
+    matrices.emplace_back(dms, out_samples);
+    views.push_back(matrices.back().view());
+    cviews.push_back(matrices.back().cview());
+  }
+}
 
 StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
                                            engine::EngineConfig config,
@@ -89,11 +90,20 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
       sink_(std::move(sink)),
       options_(options),
       executor_(session_executor(plan_, std::move(config), options_)),
-      chunker_(plan_, session_input_padding(options_, executor_->engine())),
-      job_input_(plan_.channels(),
-                 plan_.in_samples() +
-                     session_input_padding(options_, executor_->engine())),
-      out_full_(plan_.dms(), plan_.out_samples()) {
+      out_full_(options_.beams, plan_.dms(), plan_.out_samples()) {
+  const std::size_t padding =
+      session_input_padding(options_, executor_->engine());
+  chunkers_.reserve(options_.beams);
+  for (std::size_t b = 0; b < options_.beams; ++b) {
+    chunkers_.emplace_back(plan_, padding);
+  }
+  windows_.reserve(options_.beams);
+  feed_views_.reserve(options_.beams);
+  if (options_.async) {
+    job_input_ = Array2D<float>(options_.beams * channels(),
+                                chunkers_[0].window_samples());
+    job_windows_.reserve(options_.beams);
+  }
   health_.active_engine = options_.engine;
   auto& registry = telemetry::MetricsRegistry::instance();
   const telemetry::Labels session = {{"session", tracker_.session()}};
@@ -126,16 +136,6 @@ StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
     worker_ = std::thread([this] { worker_loop(); });
   }
 }
-
-StreamingDedisperser::StreamingDedisperser(dedisp::Plan chunk_plan,
-                                           dedisp::KernelConfig config,
-                                           Sink sink,
-                                           StreamingOptions options)
-    // The plan and options are passed by copy, not moved: the delegated
-    // arguments are unsequenced and legacy_config reads both.
-    : StreamingDedisperser(chunk_plan,
-                           legacy_config(chunk_plan, config, options),
-                           std::move(sink), options) {}
 
 StreamingDedisperser::TunedPlan StreamingDedisperser::resolve_tuning(
     dedisp::Plan chunk_plan, tuner::TuningCache& cache,
@@ -184,51 +184,87 @@ void StreamingDedisperser::rethrow_pending_error() {
 }
 
 void StreamingDedisperser::push(ConstView2D<float> samples) {
-  DDMC_REQUIRE(samples.rows() == channels(),
-               "sample block rows != plan channels");
+  DDMC_REQUIRE(samples.rows() == beams() * channels(),
+               "sample block rows != beams x plan channels");
+  feed_views_.clear();
+  for (std::size_t b = 0; b < beams(); ++b) {
+    feed_views_.emplace_back(samples.data() + b * channels() * samples.pitch(),
+                             channels(), samples.cols(), samples.pitch());
+  }
+  push(feed_views_);
+}
+
+void StreamingDedisperser::push(
+    const std::vector<ConstView2D<float>>& beam_samples) {
+  // Validate the whole feed before any chunker absorbs a sample: a beam
+  // rejected after another had been fed would leave the chunkers out of
+  // lockstep for good.
+  DDMC_REQUIRE(beam_samples.size() == beams(),
+               "feed must cover every beam of the session");
+  const std::size_t n = beam_samples[0].cols();
+  for (const ConstView2D<float>& beam : beam_samples) {
+    DDMC_REQUIRE(beam.rows() == channels(),
+                 "sample block rows != plan channels");
+    DDMC_REQUIRE(beam.cols() == n,
+                 "beams must be fed the same number of samples");
+  }
   DDMC_REQUIRE(!closed_, "push into a closed streaming session");
   rethrow_pending_error();
+  OverlapChunker& lead = chunkers_[0];
   std::size_t offset = 0;
-  while (offset < samples.cols()) {
-    // Zero-copy fast path: dedisperse straight from the caller's block
-    // whenever it contains the whole current window — the dominant case
+  while (offset < n) {
+    // Zero-copy fast path: dedisperse straight from the caller's blocks
+    // whenever they contain the whole current window — the dominant case
     // when a receiver hands over large buffers, and it keeps the
     // memory-bound kernel free of assembly traffic. Any assembled window
     // prefix is, by construction, a copy of the last filled() samples fed,
     // i.e. block columns [offset − filled, offset), so the window starts
     // filled() columns back in the block; skip_chunk() drops the duplicate
-    // prefix. The borrowed window is only read before submit() returns
-    // (sync: the kernel runs inline; async: the handoff copies it).
-    const std::size_t filled = chunker_.filled();
-    const std::size_t window_cols = chunker_.window_samples();
-    if (filled <= offset &&
-        samples.cols() - offset >= window_cols - filled) {
+    // prefix. The chunkers share filled() and the offset, so the path
+    // applies to every beam at once. The borrowed windows are only read
+    // before submit() returns (sync: the kernel runs inline; async: the
+    // handoff copies them).
+    const std::size_t filled = lead.filled();
+    const std::size_t window_cols = lead.window_samples();
+    if (filled <= offset && n - offset >= window_cols - filled) {
       const std::size_t start = offset - filled;
-      const ConstView2D<float> window(&samples(0, start), channels(),
-                                      window_cols, samples.pitch());
-      submit(window, chunker_.chunk_out());
-      chunker_.skip_chunk();
-      offset = start + chunker_.chunk_out();
+      windows_.clear();
+      for (const ConstView2D<float>& beam : beam_samples) {
+        windows_.emplace_back(&beam(0, start), channels(), window_cols,
+                              beam.pitch());
+      }
+      submit(windows_, lead.chunk_out());
+      for (OverlapChunker& c : chunkers_) c.skip_chunk();
+      offset = start + lead.chunk_out();
       continue;
     }
-    offset += chunker_.feed(samples, offset);
-    if (chunker_.ready()) {
-      submit(chunker_.chunk_input(), chunker_.chunk_out());
-      chunker_.advance();
+    const std::size_t absorbed = lead.feed(beam_samples[0], offset);
+    for (std::size_t b = 1; b < beams(); ++b) {
+      const std::size_t a = chunkers_[b].feed(beam_samples[b], offset);
+      DDMC_ENSURE(a == absorbed, "beam chunkers fell out of lockstep");
+    }
+    offset += absorbed;
+    if (lead.ready()) {
+      windows_.clear();
+      for (const OverlapChunker& c : chunkers_) {
+        windows_.push_back(c.chunk_input());
+      }
+      submit(windows_, lead.chunk_out());
+      for (OverlapChunker& c : chunkers_) c.advance();
     }
   }
 }
 
 void StreamingDedisperser::consume(SampleRing& ring) {
-  DDMC_REQUIRE(ring.channels() == channels(),
-               "ring channels != plan channels");
-  Array2D<float> transfer(channels(),
-                          std::min<std::size_t>(ring.capacity(), 4096));
+  const std::size_t rows = beams() * channels();
+  DDMC_REQUIRE(ring.channels() == rows,
+               "ring rows != beams x plan channels");
+  Array2D<float> transfer(rows, std::min<std::size_t>(ring.capacity(), 4096));
   for (;;) {
     const std::size_t n = ring.pop(transfer.view());
     if (n == 0) break;  // closed and drained
     try {
-      push(ConstView2D<float>(transfer.cview().data(), channels(), n,
+      push(ConstView2D<float>(transfer.cview().data(), rows, n,
                               transfer.pitch()));
     } catch (...) {
       // A dead consumer must never leave producers blocked against the
@@ -241,25 +277,27 @@ void StreamingDedisperser::consume(SampleRing& ring) {
   }
 }
 
-void StreamingDedisperser::submit(ConstView2D<float> window,
-                                  std::size_t out_samples) {
+void StreamingDedisperser::submit(
+    const std::vector<ConstView2D<float>>& windows, std::size_t out_samples) {
   Job job;
-  job.index = chunker_.chunk_index();
-  job.first_sample = chunker_.first_out_sample();
+  job.index = chunkers_[0].chunk_index();
+  job.first_sample = chunkers_[0].first_out_sample();
   job.out_samples = out_samples;
-  job.in_cols = window.cols();
+  job.in_cols = windows[0].cols();
   job.assembled_at = session_clock_.seconds();
 
   if (!options_.async) {
-    run_job(job, window);
+    run_job(job, windows);
     return;
   }
   std::unique_lock<std::mutex> lock(mutex_);
   cv_idle_.wait(lock, [&] { return !job_pending_; });
   if (error_) std::rethrow_exception(error_);
-  for (std::size_t ch = 0; ch < window.rows(); ++ch) {
-    std::memcpy(&job_input_(ch, 0), &window(ch, 0),
-                window.cols() * sizeof(float));
+  for (std::size_t b = 0; b < windows.size(); ++b) {
+    for (std::size_t ch = 0; ch < channels(); ++ch) {
+      std::memcpy(&job_input_(b * channels() + ch, 0), &windows[b](ch, 0),
+                  job.in_cols * sizeof(float));
+    }
   }
   job_ = job;
   job_pending_ = true;
@@ -275,10 +313,13 @@ void StreamingDedisperser::worker_loop() {
       if (!job_pending_) return;  // stop requested, queue drained
       job = job_;
     }
-    const ConstView2D<float> input(job_input_.cview().data(), channels(),
-                                   job.in_cols, job_input_.pitch());
+    job_windows_.clear();
+    for (std::size_t b = 0; b < beams(); ++b) {
+      job_windows_.emplace_back(&job_input_.cview()(b * channels(), 0),
+                                channels(), job.in_cols, job_input_.pitch());
+    }
     try {
-      run_job(job, input);
+      run_job(job, job_windows_);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!error_) error_ = std::current_exception();
@@ -291,18 +332,19 @@ void StreamingDedisperser::worker_loop() {
   }
 }
 
-void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
+void StreamingDedisperser::run_job(
+    const Job& job, const std::vector<ConstView2D<float>>& input) {
   const resilience::StreamPolicy& policy = options_.supervision;
   const bool full = job.out_samples == plan_.out_samples();
   const double data_seconds = static_cast<double>(job.out_samples) /
                               plan_.observation().sampling_rate();
 
-  // Full chunks reuse the session's output buffer (a streaming hot path
+  // Full chunks reuse the session's output buffers (a streaming hot path
   // should not allocate megabytes per chunk); only the final partial
   // flush, whose shape differs, allocates its own.
-  Array2D<float> partial_out;
-  if (!full) partial_out = Array2D<float>(plan_.dms(), job.out_samples);
-  const View2D<float> out = full ? out_full_.view() : partial_out.view();
+  BeamOutputs partial_out;
+  if (!full) partial_out = BeamOutputs(beams(), plan_.dms(), job.out_samples);
+  const BeamOutputs& out = full ? out_full_ : partial_out;
 
   telemetry::TraceSpan chunk_span("stream.chunk");
   chunk_span.arg("chunk", job.index).arg("out_samples", job.out_samples);
@@ -320,7 +362,7 @@ void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
       DDMC_FAILPOINT_CTX("stream.chunk", job.index);
       const pipeline::Executor& executor =
           degraded_ ? *degrade_executor_ : *executor_;
-      traffic = executor.run({input}, {out}, job.out_samples);
+      traffic = executor.run(input, out.views, job.out_samples);
       break;
     } catch (...) {
       const std::exception_ptr err = std::current_exception();
@@ -350,11 +392,12 @@ void StreamingDedisperser::run_job(const Job& job, ConstView2D<float> input) {
   chunk.index = job.index;
   chunk.first_sample = job.first_sample;
   chunk.out_samples = job.out_samples;
-  chunk.output = out;
+  chunk.outputs = out.cviews;
+  chunk.output = out.cviews[0];
   if (options_.detect) {
     telemetry::TraceSpan detect_span("sky.detect");
     detect_span.arg("chunk", job.index);
-    chunk.detection = sky::detect_best_dm(out);
+    chunk.candidate = sky::detect_best_beam(out.matrices);
   }
   chunk.timing.compute_seconds = compute.seconds();
   chunk.timing.data_seconds = data_seconds;
@@ -458,8 +501,13 @@ void StreamingDedisperser::close() {
     // would be destroyed.
     std::exception_ptr flush_error;
     try {
-      if (chunker_.pending_out() > 0) {
-        submit(chunker_.partial_input(), chunker_.pending_out());
+      const std::size_t pending = chunkers_[0].pending_out();
+      if (pending > 0) {
+        windows_.clear();
+        for (const OverlapChunker& c : chunkers_) {
+          windows_.push_back(c.partial_input());
+        }
+        submit(windows_, pending);
       }
     } catch (...) {
       flush_error = std::current_exception();
@@ -486,99 +534,6 @@ std::size_t StreamingDedisperser::chunks_emitted() const {
 LatencyReport StreamingDedisperser::latency() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return tracker_.report();
-}
-
-// ----------------------------------------------------------- multi-beam --
-
-MultiBeamStreamingDedisperser::MultiBeamStreamingDedisperser(
-    dedisp::Plan chunk_plan, engine::EngineConfig config, std::size_t beams,
-    Sink sink, StreamingOptions options)
-    : plan_(std::move(chunk_plan)),
-      sink_(std::move(sink)),
-      options_(options),
-      executor_(session_executor(plan_, std::move(config), options_)) {
-  DDMC_REQUIRE(beams > 0, "need at least one beam");
-  const std::size_t padding =
-      executor_->engine().capabilities().input_padding;
-  chunkers_.reserve(beams);
-  for (std::size_t b = 0; b < beams; ++b) {
-    chunkers_.emplace_back(plan_, padding);
-  }
-}
-
-void MultiBeamStreamingDedisperser::push(
-    const std::vector<ConstView2D<float>>& beam_samples) {
-  DDMC_REQUIRE(beam_samples.size() == beams(),
-               "feed must cover every beam of the session");
-  DDMC_REQUIRE(!closed_, "push into a closed streaming session");
-  const std::size_t n = beam_samples[0].cols();
-  for (const auto& s : beam_samples) {
-    DDMC_REQUIRE(s.cols() == n,
-                 "beams must be fed the same number of samples");
-  }
-  std::size_t offset = 0;
-  while (offset < n) {
-    const std::size_t absorbed = chunkers_[0].feed(beam_samples[0], offset);
-    for (std::size_t b = 1; b < beams(); ++b) {
-      const std::size_t a = chunkers_[b].feed(beam_samples[b], offset);
-      DDMC_ENSURE(a == absorbed, "beam chunkers fell out of lockstep");
-    }
-    offset += absorbed;
-    if (chunkers_[0].ready()) {
-      std::vector<ConstView2D<float>> windows;
-      windows.reserve(beams());
-      for (const auto& c : chunkers_) windows.push_back(c.chunk_input());
-      run_chunk(windows, plan_.out_samples(), chunkers_[0].chunk_index(),
-                chunkers_[0].first_out_sample());
-      for (auto& c : chunkers_) c.advance();
-    }
-  }
-}
-
-void MultiBeamStreamingDedisperser::close() {
-  if (closed_) return;
-  closed_ = true;
-  const std::size_t pending = chunkers_[0].pending_out();
-  if (pending == 0) return;
-  std::vector<ConstView2D<float>> windows;
-  windows.reserve(beams());
-  for (const auto& c : chunkers_) windows.push_back(c.partial_input());
-  run_chunk(windows, pending, chunkers_[0].chunk_index(),
-            chunkers_[0].first_out_sample());
-}
-
-void MultiBeamStreamingDedisperser::run_chunk(
-    const std::vector<ConstView2D<float>>& windows, std::size_t out_samples,
-    std::size_t index, std::size_t first_sample) {
-  const double assembled_at = session_clock_.seconds();
-  Stopwatch compute;
-  std::vector<Array2D<float>> outputs;
-  std::vector<View2D<float>> views;
-  outputs.reserve(windows.size());
-  views.reserve(windows.size());
-  for (std::size_t b = 0; b < windows.size(); ++b) {
-    outputs.emplace_back(plan_.dms(), out_samples);
-    views.push_back(outputs.back().view());
-  }
-  traffic_.merge(executor_->run(windows, views, out_samples));
-
-  MultiBeamStreamChunk chunk;
-  chunk.index = index;
-  chunk.first_sample = first_sample;
-  chunk.out_samples = out_samples;
-  chunk.outputs = &outputs;
-  if (options_.detect) {
-    telemetry::TraceSpan detect_span("sky.detect");
-    detect_span.arg("chunk", index);
-    chunk.candidate = sky::detect_best_beam(outputs);
-  }
-  chunk.timing.compute_seconds = compute.seconds();
-  chunk.timing.data_seconds = static_cast<double>(out_samples) /
-                              plan_.observation().sampling_rate();
-  chunk.timing.latency_seconds = session_clock_.seconds() - assembled_at;
-  if (sink_) sink_(chunk);
-  tracker_.record(chunk.timing);
-  ++emitted_;
 }
 
 }  // namespace ddmc::stream

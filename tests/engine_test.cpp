@@ -78,7 +78,7 @@ Array2D<float> run_engine(const DedispEngine& engine, const Plan& plan,
                           const KernelConfig& config,
                           ConstView2D<float> in) {
   Array2D<float> out(plan.dms(), plan.out_samples());
-  engine.execute(plan, config, in, out.view());
+  engine.execute(plan, encode_kernel_config(config), in, out.view());
   return out;
 }
 
@@ -578,7 +578,7 @@ TEST(EngineTraffic, FdmtReportsItsTransformFlopsNotThePlanCredit) {
 
   // The brute-force engines keep the plan's canonical analytic count.
   const EngineRun tiled = make_engine("cpu_tiled")->execute(
-      plan, KernelConfig{1, 1, 1, 1}, in.cview(), out.view());
+      plan, EngineConfig{}, in.cview(), out.view());
   EXPECT_DOUBLE_EQ(tiled.flop, 2.0 * static_cast<double>(plan.channels()) *
                                    static_cast<double>(plan.dms()) *
                                    static_cast<double>(plan.out_samples()));
@@ -684,7 +684,7 @@ TEST(EngineStreaming, EveryStreamingEngineMatchesItsBatchRun) {
       options.engine = id;
       options.async = false;
       stream::StreamingDedisperser session(
-          chunk_plan, KernelConfig{1, 1, 1, 1},
+          chunk_plan, engine::EngineConfig{},
           [&](const stream::StreamChunk& chunk) {
             for (std::size_t dm = 0; dm < dms; ++dm) {
               for (std::size_t t = 0; t < chunk.out_samples; ++t) {
@@ -735,10 +735,12 @@ TEST(EngineStreaming, MultiBeamSubbandSessionHonorsTheConfiguredSplit) {
   stream::StreamingOptions options;
   options.engine = "subband";
   options.subband = split;
-  stream::MultiBeamStreamingDedisperser session(
-      chunk_plan, EngineConfig{}, /*beams=*/2,
-      [&](const stream::MultiBeamStreamChunk& chunk) {
-        const Array2D<float>& beam0 = (*chunk.outputs)[0];
+  options.beams = 2;
+  stream::StreamingDedisperser session(
+      chunk_plan, EngineConfig{},
+      [&](const stream::StreamChunk& chunk) {
+        ASSERT_EQ(chunk.outputs.size(), 2u);
+        const ConstView2D<float> beam0 = chunk.outputs[0];
         for (std::size_t dm = 0; dm < dms; ++dm) {
           for (std::size_t t = 0; t < chunk.out_samples; ++t) {
             streamed(dm, chunk.first_sample + t) = beam0(dm, t);
@@ -756,7 +758,7 @@ TEST(EngineStreaming, NonStreamableEngineIsRejectedWithTheCapabilityName) {
   stream::StreamingOptions options;
   options.engine = "ocl_sim";
   try {
-    stream::StreamingDedisperser session(chunk_plan, KernelConfig{1, 1, 1, 1},
+    stream::StreamingDedisperser session(chunk_plan, engine::EngineConfig{},
                                          nullptr, options);
     FAIL() << "streaming session accepted an engine without "
               "supports_streaming";
@@ -775,7 +777,7 @@ TEST(EngineStreaming, FdmtRejectsStreamingWithTheCapabilityName) {
   stream::StreamingOptions options;
   options.engine = "fdmt";
   try {
-    stream::StreamingDedisperser session(chunk_plan, KernelConfig{1, 1, 1, 1},
+    stream::StreamingDedisperser session(chunk_plan, engine::EngineConfig{},
                                          nullptr, options);
     FAIL() << "streaming session accepted fdmt";
   } catch (const invalid_argument& e) {
@@ -854,8 +856,10 @@ TEST(EngineSharding, ShardedStreamingRejectsANonShardableEngine) {
                                          options);
   });
   expect_rejected([&] {
-    stream::MultiBeamStreamingDedisperser session(plan, EngineConfig{}, 2,
-                                                  nullptr, options);
+    stream::StreamingOptions multi_beam = options;
+    multi_beam.beams = 2;
+    stream::StreamingDedisperser session(plan, EngineConfig{}, nullptr,
+                                         multi_beam);
   });
   // Without the sharding request the same engine streams.
   options.shard_workers = 0;
@@ -936,7 +940,7 @@ TEST(EngineTraffic, ReportedBytesFollowTheDeclaredElementSize) {
   const Plan plan = testing::mini_plan(8, 64);
   const Array2D<float> in = padded_input(plan, 0);
   Array2D<float> out(plan.dms(), plan.out_samples());
-  const KernelConfig cfg{1, 1, 1, 1};
+  const EngineConfig cfg;
 
   const EngineRun f32 =
       make_engine("cpu_tiled")->execute(plan, cfg, in.cview(), out.view());
@@ -978,7 +982,7 @@ TEST(EngineConfig, UnsupportedUnrollHintsFailFast) {
     pipeline::Dedisperser dd =
         pipeline::Dedisperser::with_output_samples(mini_obs(), 8, 64,
                                                    "cpu_tiled");
-    EXPECT_THROW(dd.set_config(cfg), config_error);
+    EXPECT_THROW(dd.set_config(encode_kernel_config(cfg)), config_error);
   }
   // No engine offers an unsupported hint to the tuner (absent axes decode
   // to their neutral defaults, which are supported).

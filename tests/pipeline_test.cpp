@@ -21,6 +21,7 @@ using dedisp::KernelConfig;
 using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::random_input;
+using testing::tile_32x4;
 
 Dedisperser small(const std::string& engine) {
   return Dedisperser::with_output_samples(mini_obs(), 8, 64, engine);
@@ -34,7 +35,9 @@ TEST(Dedisperser, AllBitwiseEnginesAgreeBitExactly) {
   for (const char* id : {"cpu_tiled", "cpu_baseline", "ocl_sim"}) {
     SCOPED_TRACE(id);
     Dedisperser dd = small(id);
-    dd.set_config(KernelConfig{8, 2, 4, 2});
+    // The tile reaches the engines that declare the kernel axes.
+    dd.set_config(engine::restrict_to_axes(
+        tile_32x4(), dd.engine().config_axes(dd.plan())));
     const Array2D<float> got = dd.dedisperse(in.cview());
     expect_same_matrix(expected, got);
   }
@@ -263,13 +266,16 @@ TEST(Dedisperser, ShardedExecutionRejectsANonShardingRaceWinner) {
 
 TEST(Dedisperser, SetConfigValidates) {
   Dedisperser dd = small("cpu_tiled");
-  EXPECT_THROW(dd.set_config(KernelConfig{5, 1, 1, 1}), config_error);
-  EXPECT_NO_THROW(dd.set_config(KernelConfig{8, 2, 2, 2}));
+  EXPECT_THROW(
+      dd.set_config(engine::encode_kernel_config(KernelConfig{5, 1, 1, 1})),
+      config_error);
+  EXPECT_NO_THROW(
+      dd.set_config(engine::encode_kernel_config(KernelConfig{8, 2, 2, 2})));
 }
 
 TEST(Dedisperser, SimulatedEngineExposesCounters) {
   Dedisperser dd = small("ocl_sim");
-  dd.set_config(KernelConfig{8, 2, 4, 2});
+  dd.set_config(tile_32x4());
   dd.set_device(ocl::amd_hd7970());
   const Array2D<float> in = random_input(dd.plan());
   dd.dedisperse(in.cview());

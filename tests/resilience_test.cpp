@@ -42,6 +42,7 @@ using resilience::ScopedFault;
 using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::random_input;
+using testing::tile_32x4;
 
 /// Single-engine reference: one kernel call over the whole plan, one thread.
 Array2D<float> single_engine(const Plan& plan, const KernelConfig& config,
@@ -201,8 +202,8 @@ TEST(FaultInjector, EngineExecuteSeamCoversEveryBuiltin) {
     spec.max_fires = 0;
     ScopedFault fault("engine.execute", spec);
     const auto engine = engine::make_engine(id);
-    EXPECT_THROW(engine->execute(plan, KernelConfig{1, 1, 1, 1},
-                                 input.cview(), out.view()),
+    EXPECT_THROW(engine->execute(plan, engine::EngineConfig{}, input.cview(),
+                                 out.view()),
                  resilience::TransientError);
   }
 }
@@ -280,8 +281,7 @@ TEST(SupervisedSharding, ExhaustionAggregatesEveryFailedShard) {
   opts.workers = 3;
   opts.supervision.retry.max_attempts = 2;
   opts.supervision.retry.backoff_seconds = 0.0;
-  const pipeline::Executor sharded(
-      plan, engine::encode_kernel_config(KernelConfig{1, 1, 1, 1}), opts);
+  const pipeline::Executor sharded(plan, engine::EngineConfig{}, opts);
 
   FaultSpec spec;
   spec.max_fires = 0;  // context-free: every shard's every attempt fails
@@ -314,8 +314,7 @@ TEST(SupervisedSharding, FatalErrorsAreNeitherRetriedNorReacquired) {
   opts.supervision.retry.max_attempts = 3;
   opts.supervision.retry.backoff_seconds = 0.0;
   opts.supervision.reacquire = true;
-  const pipeline::Executor sharded(
-      plan, engine::encode_kernel_config(KernelConfig{1, 1, 1, 1}), opts);
+  const pipeline::Executor sharded(plan, engine::EngineConfig{}, opts);
 
   FaultSpec spec;
   spec.context = 0;
@@ -399,8 +398,7 @@ TEST(SupervisedSharding, FailedReacquisitionKeepsTheShardFailed) {
   opts.supervision.retry.max_attempts = 1;
   opts.supervision.reacquire = true;
   opts.supervision.reacquire_splits = 2;
-  const pipeline::Executor sharded(
-      plan, engine::encode_kernel_config(KernelConfig{1, 1, 1, 1}), opts);
+  const pipeline::Executor sharded(plan, engine::EngineConfig{}, opts);
 
   FaultSpec dead;
   dead.context = 1;
@@ -483,7 +481,7 @@ TEST(SampleRingPoison, ConsumeFailurePoisonsTheRingForTheProducer) {
   stream::StreamingOptions opts;
   opts.async = false;
   opts.cpu.threads = 1;
-  stream::StreamingDedisperser session(chunk, KernelConfig{1, 1, 1, 1},
+  stream::StreamingDedisperser session(chunk, engine::EngineConfig{},
                                        nullptr, opts);
   EXPECT_THROW(session.consume(ring), resilience::ConfigError);
   producer.join();  // deadlock here = the bug this test pins down
@@ -533,8 +531,7 @@ TEST(StreamingWatchdog, TransientChunkFaultIsRetriedInvisibly) {
   opts.supervision.enabled = true;
   opts.supervision.max_chunk_retries = 1;
   opts.supervision.degrade_after = 0;
-  stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{8, 2, 4, 2},
+  stream::StreamingDedisperser session(batch.with_chunk(32), tile_32x4(),
                                        std::ref(collect), opts);
   session.push(input.cview());
   session.close();
@@ -569,8 +566,7 @@ TEST(StreamingWatchdog, ExhaustedChunkIsSkippedWithGapAccounting) {
   opts.supervision.enabled = true;
   opts.supervision.max_chunk_retries = 1;
   opts.supervision.degrade_after = 0;
-  stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{8, 2, 4, 2},
+  stream::StreamingDedisperser session(batch.with_chunk(32), tile_32x4(),
                                        std::ref(collect), opts);
   session.push(input.cview());
   session.close();  // must complete: the failure was absorbed as a gap
@@ -599,6 +595,73 @@ TEST(StreamingWatchdog, ExhaustedChunkIsSkippedWithGapAccounting) {
   }
 }
 
+TEST(StreamingWatchdog, MultiBeamSkipRecordsOneGapForEveryBeam) {
+  // The ladder guards the chunk's whole beams × DM-shards grid: a skipped
+  // chunk is one gap across all beams, and every other chunk of every beam
+  // stays bitwise exact.
+  const std::size_t total_out = 128;  // 4 full chunks of 32
+  const Plan batch = Plan::with_output_samples(mini_obs(), 12, total_out);
+  const std::size_t beams = 2;
+  std::vector<Array2D<float>> inputs;
+  std::vector<ConstView2D<float>> views;
+  for (std::size_t b = 0; b < beams; ++b) {
+    inputs.push_back(random_input(batch, 300 + b));
+    views.push_back(inputs.back().cview());
+  }
+
+  FaultSpec spec;
+  spec.context = 2;  // chunk 2's only attempt
+  spec.max_fires = 1;
+  ScopedFault fault("stream.chunk", spec);
+
+  std::vector<Array2D<float>> totals(beams,
+                                     Array2D<float>(batch.dms(), total_out));
+  std::vector<std::size_t> indices;
+  stream::StreamingOptions opts;
+  opts.beams = beams;
+  opts.cpu.threads = 1;
+  opts.supervision.enabled = true;
+  opts.supervision.max_chunk_retries = 0;
+  opts.supervision.skip_failed_chunks = true;
+  opts.supervision.degrade_after = 0;
+  stream::StreamingDedisperser session(
+      batch.with_chunk(32), tile_32x4(),
+      [&](const stream::StreamChunk& chunk) {
+        for (std::size_t b = 0; b < beams; ++b) {
+          for (std::size_t dm = 0; dm < batch.dms(); ++dm) {
+            for (std::size_t t = 0; t < chunk.out_samples; ++t) {
+              totals[b](dm, chunk.first_sample + t) = chunk.outputs[b](dm, t);
+            }
+          }
+        }
+        indices.push_back(chunk.index);
+      },
+      opts);
+  session.push(views);
+  session.close();
+
+  EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 3}));
+  const resilience::StreamHealth health = session.health();
+  EXPECT_EQ(health.chunks_emitted, 3u);
+  EXPECT_EQ(health.chunks_skipped, 1u);
+  ASSERT_EQ(health.gaps.size(), 1u);
+  EXPECT_EQ(health.gaps[0].index, 2u);
+  EXPECT_EQ(health.gaps[0].first_sample, 64u);
+  EXPECT_EQ(health.gaps[0].out_samples, 32u);
+  EXPECT_EQ(session.latency().gap_chunks, 1u);
+  for (std::size_t b = 0; b < beams; ++b) {
+    const Array2D<float> expected =
+        single_engine(batch, KernelConfig{1, 1, 1, 1}, inputs[b]);
+    for (std::size_t dm = 0; dm < batch.dms(); ++dm) {
+      for (std::size_t t = 0; t < total_out; ++t) {
+        if (t >= 64 && t < 96) continue;  // the gap
+        ASSERT_EQ(expected(dm, t), totals[b](dm, t))
+            << "beam " << b << " mismatch at (" << dm << ", " << t << ")";
+      }
+    }
+  }
+}
+
 TEST(StreamingWatchdog, RetryRungPrecedesSkipRung) {
   const std::size_t total_out = 96;
   const Plan batch = Plan::with_output_samples(mini_obs(), 12, total_out);
@@ -621,8 +684,7 @@ TEST(StreamingWatchdog, RetryRungPrecedesSkipRung) {
   opts.supervision.enabled = true;
   opts.supervision.max_chunk_retries = 2;
   opts.supervision.degrade_after = 0;
-  stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{8, 2, 4, 2},
+  stream::StreamingDedisperser session(batch.with_chunk(32), tile_32x4(),
                                        std::ref(collect), opts);
   session.push(input.cview());
   session.close();
@@ -653,8 +715,7 @@ TEST(StreamingWatchdog, ConsecutiveSkipsDegradeToTheCheaperEngine) {
   opts.supervision.enabled = true;
   opts.supervision.max_chunk_retries = 0;
   opts.supervision.degrade_after = 2;
-  stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{8, 2, 4, 2},
+  stream::StreamingDedisperser session(batch.with_chunk(32), tile_32x4(),
                                        std::ref(collect), opts);
   EXPECT_EQ(session.health().active_engine, "cpu_tiled");
   session.push(input.cview());
@@ -684,8 +745,7 @@ TEST(StreamingWatchdog, DeadlineOverrunsApplyDegradationPressure) {
   opts.supervision.enabled = true;
   opts.supervision.deadline_factor = 1e-12;  // no chunk can make this
   opts.supervision.degrade_after = 3;
-  stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{8, 2, 4, 2},
+  stream::StreamingDedisperser session(batch.with_chunk(32), tile_32x4(),
                                        std::ref(collect), opts);
   session.push(input.cview());
   session.close();
@@ -710,7 +770,7 @@ TEST(StreamingWatchdog, UnsupervisedSessionStillFailsFast) {
   opts.async = false;
   opts.cpu.threads = 1;
   stream::StreamingDedisperser session(batch.with_chunk(32),
-                                       KernelConfig{1, 1, 1, 1}, nullptr,
+                                       engine::EngineConfig{}, nullptr,
                                        opts);
   EXPECT_THROW(session.push(input.cview()), resilience::TransientError);
 }
@@ -749,7 +809,7 @@ tuner::CacheEntry sample_entry(const Plan& plan) {
   tuner::CacheEntry entry;
   entry.host = tuner::HostSignature::of(dedisp::CpuKernelOptions{});
   entry.plan = tuner::PlanSignature::of(plan);
-  entry.config = engine::encode_kernel_config(KernelConfig{1, 1, 1, 1});
+  entry.config = engine::EngineConfig{};
   entry.gflops = 1.0;
   entry.seconds = 0.5;
   entry.evaluated = 1;
@@ -913,7 +973,7 @@ TEST(ResilienceSoakSlowTier, RandomStreamFaultPatternsAlwaysFinish) {
     opts.supervision.max_chunk_retries = 2;
     opts.supervision.degrade_after = 0;  // keep chunks bitwise-comparable
     stream::StreamingDedisperser session(batch.with_chunk(chunk_out),
-                                         KernelConfig{8, 2, 4, 2},
+                                         tile_32x4(),
                                          std::ref(collect), opts);
     session.push(input.cview());
     session.close();  // must always return: failures end as gaps

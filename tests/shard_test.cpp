@@ -33,6 +33,7 @@ using dedisp::Plan;
 using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::random_input;
+using testing::tile_32x4;
 
 /// Executor on \p workers workers with \p config as its kernel axes.
 Executor make_executor(const Plan& plan, const KernelConfig& config,
@@ -409,13 +410,13 @@ TEST(Dedisperser, ShardedExecutionKnobIsBitwiseIdentical) {
   const sky::Observation obs = mini_obs();
   Dedisperser single =
       Dedisperser::with_output_samples(obs, 12, 60, "cpu_tiled");
-  single.set_config(KernelConfig{5, 2, 4, 2});
+  single.set_config(engine::encode_kernel_config(KernelConfig{5, 2, 4, 2}));
   const Array2D<float> input = random_input(single.plan());
   const Array2D<float> expected = single.dedisperse(input.cview());
 
   Dedisperser sharded =
       Dedisperser::with_output_samples(obs, 12, 60, "cpu_tiled");
-  sharded.set_config(KernelConfig{5, 2, 4, 2});
+  sharded.set_config(engine::encode_kernel_config(KernelConfig{5, 2, 4, 2}));
   sharded.set_execution(Execution::kDmSharded, 3);
   EXPECT_EQ(sharded.execution(), Execution::kDmSharded);
   expect_same_matrix(expected, sharded.dedisperse(input.cview()));
@@ -487,8 +488,7 @@ TEST(StreamingDedisperser, ShardedChunksAreBitwiseEqualToBatch) {
     opts.async = async;
     opts.cpu.threads = 1;
     opts.shard_workers = 3;
-    stream::StreamingDedisperser session(batch.with_chunk(32),
-                                         KernelConfig{8, 2, 4, 2},
+    stream::StreamingDedisperser session(batch.with_chunk(32), tile_32x4(),
                                          std::ref(collect), opts);
     session.push(input.cview());
     session.close();
@@ -516,15 +516,15 @@ MultiBeamRun stream_beams(const Plan& batch,
   stream::StreamingOptions opts;
   opts.cpu.threads = 1;
   opts.shard_workers = shard_workers;
-  stream::MultiBeamStreamingDedisperser session(
-      batch.with_chunk(32),
-      engine::encode_kernel_config(KernelConfig{8, 2, 4, 2}), views.size(),
-      [&](const stream::MultiBeamStreamChunk& chunk) {
+  opts.beams = views.size();
+  stream::StreamingDedisperser session(
+      batch.with_chunk(32), tile_32x4(),
+      [&](const stream::StreamChunk& chunk) {
         for (std::size_t b = 0; b < views.size(); ++b) {
           for (std::size_t dm = 0; dm < batch.dms(); ++dm) {
             for (std::size_t t = 0; t < chunk.out_samples; ++t) {
               result.totals[b](dm, chunk.first_sample + t) =
-                  (*chunk.outputs)[b](dm, t);
+                  chunk.outputs[b](dm, t);
             }
           }
         }
@@ -536,7 +536,7 @@ MultiBeamRun stream_beams(const Plan& batch,
   return result;
 }
 
-TEST(MultiBeamStreamingDedisperser, ShardedChunksMatchTheUnshardedSession) {
+TEST(MultiBeamSession, ShardedChunksMatchTheUnshardedSession) {
   const std::size_t total_out = 80;  // 2 full chunks of 32 + partial 16
   const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
   const std::size_t beams = 2;
@@ -558,7 +558,7 @@ TEST(MultiBeamStreamingDedisperser, ShardedChunksMatchTheUnshardedSession) {
   }
 }
 
-TEST(MultiBeamStreamingDedisperser, TelemetryCountsEveryEngineCall) {
+TEST(MultiBeamSession, TelemetryCountsEveryEngineCall) {
   // 2 beams × 3 chunks (2 full of 32 + the 16-sample flush): every engine
   // call of every chunk counts, the flush chunk's included.
   const Plan batch = Plan::with_output_samples(mini_obs(), 8, 80);
@@ -603,7 +603,7 @@ TEST(Executor, TrafficCountsEveryShardRun) {
 
 TEST(Dedisperser, TelemetrySurvivesReconfiguration) {
   Dedisperser dd = Dedisperser::with_output_samples(mini_obs(), 12, 60);
-  dd.set_config(KernelConfig{5, 2, 4, 2});
+  dd.set_config(engine::encode_kernel_config(KernelConfig{5, 2, 4, 2}));
   dd.set_execution(Execution::kDmSharded, 3);
   const Array2D<float> input = random_input(dd.plan());
   dd.dedisperse(input.cview());
@@ -630,8 +630,7 @@ TEST(StreamingDedisperser, TelemetryCountsEveryChunkRun) {
     stream::StreamingOptions opts;
     opts.cpu.threads = 1;
     opts.shard_workers = shard_workers;
-    stream::StreamingDedisperser session(batch.with_chunk(32),
-                                         KernelConfig{8, 2, 4, 2},
+    stream::StreamingDedisperser session(batch.with_chunk(32), tile_32x4(),
                                          std::ref(collect), opts);
     session.push(input.cview());
     session.close();

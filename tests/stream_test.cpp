@@ -33,6 +33,7 @@ using dedisp::Plan;
 using testing::expect_same_matrix;
 using testing::mini_obs;
 using testing::random_input;
+using testing::tile_32x4;
 
 /// Feed `input` into `session` in pseudo-random slices of 1..max_slice
 /// samples (max_slice = 1 exercises one-sample feeds).
@@ -404,8 +405,7 @@ TEST(StreamingDedisperser, BitwiseEqualToBatchAcrossGranularities) {
     StreamingOptions opts;
     opts.async = c.async;
     opts.cpu.threads = 1;
-    StreamingDedisperser session(batch.with_chunk(c.chunk_out),
-                                 KernelConfig{8, 2, 4, 2},
+    StreamingDedisperser session(batch.with_chunk(c.chunk_out), tile_32x4(),
                                  std::ref(collect), opts);
     feed_in_slices(session, input, c.max_slice, 1234 + c.chunk_out);
     session.close();
@@ -479,7 +479,7 @@ TEST(StreamingDedisperser, TuneOnFirstUseFromTheCache) {
     expect_same_matrix(expected, collect.total);
   }
   // The explicit-config constructor reports no tuning outcome.
-  StreamingDedisperser manual(batch.with_chunk(64), KernelConfig{8, 2, 4, 2},
+  StreamingDedisperser manual(batch.with_chunk(64), tile_32x4(),
                               [](const StreamChunk&) {}, opts);
   EXPECT_FALSE(manual.tuning_outcome().has_value());
 }
@@ -550,39 +550,6 @@ TEST(StreamingDedisperser, AdoptsTheRaceWinnerAndWidensTheOverlap) {
   expect_same_matrix(expected, collect.total);
 }
 
-TEST(StreamingDedisperser, LegacyKernelConfigShedsAxesForeignToTheEngine) {
-  // The KernelConfig constructor predates engine-native configs: a session
-  // built with a tiled kernel shape but a different engine must shed the
-  // axes that engine never declared and run its defaults, as pre-config
-  // sessions did (regression: the subband session threw "declares no
-  // config axis 'channel_block'" at construction).
-  const std::size_t total_out = 96;
-  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
-  const Array2D<float> input = random_input(batch);
-  const Plan chunked = batch.with_chunk(32);
-
-  StreamingOptions opts;
-  opts.async = false;
-  opts.cpu.threads = 1;
-  opts.engine = "subband";
-  Collector collect(batch.dms(), total_out);
-  {
-    StreamingDedisperser session(chunked,
-                                 dedisp::KernelConfig{1, 1, 1, 1, 32, 4},
-                                 std::ref(collect), opts);
-    feed_in_slices(session, input, 13, 257);
-    session.close();
-  }
-  EXPECT_EQ(collect.emitted, total_out);
-
-  // The session ran the subband engine's defaults — the empty config.
-  const auto subband = engine::make_engine("subband");
-  Array2D<float> expected(batch.dms(), batch.out_samples());
-  subband->execute(batch, engine::EngineConfig{}, input.cview(),
-                   expected.view());
-  expect_same_matrix(expected, collect.total);
-}
-
 TEST(StreamingDedisperser, RandomizedChunkAndFeedProperty) {
   Rng rng(99);
   const std::vector<std::size_t> chunk_sizes = {32, 64, 96, 160};
@@ -606,8 +573,7 @@ TEST(StreamingDedisperser, RandomizedChunkAndFeedProperty) {
     StreamingOptions opts;
     opts.async = (round % 2 == 0);
     opts.cpu.threads = 1;
-    StreamingDedisperser session(batch.with_chunk(chunk_out),
-                                 KernelConfig{8, 2, 4, 2},
+    StreamingDedisperser session(batch.with_chunk(chunk_out), tile_32x4(),
                                  std::ref(collect), opts);
     feed_in_slices(session, input, max_slice, 777 + round);
     session.close();
@@ -627,7 +593,7 @@ TEST(StreamingDedisperser, ConsumesARingEndToEnd) {
   Collector collect(batch.dms(), total_out);
   StreamingOptions opts;
   opts.cpu.threads = 1;
-  StreamingDedisperser session(batch.with_chunk(64), KernelConfig{8, 2, 4, 2},
+  StreamingDedisperser session(batch.with_chunk(64), tile_32x4(),
                                std::ref(collect), opts);
 
   std::thread producer([&] {
@@ -657,9 +623,9 @@ TEST(StreamingDedisperser, AttachesDetectionsAndLatency) {
   opts.detect = true;
   opts.cpu.threads = 1;
   StreamingDedisperser session(
-      batch.with_chunk(64), KernelConfig{8, 2, 4, 2},
+      batch.with_chunk(64), tile_32x4(),
       [&](const StreamChunk& chunk) {
-        if (chunk.detection.has_value()) ++with_detection;
+        if (chunk.candidate.has_value()) ++with_detection;
         EXPECT_GT(chunk.timing.data_seconds, 0.0);
         EXPECT_GE(chunk.timing.latency_seconds, 0.0);
       },
@@ -686,7 +652,7 @@ TEST(StreamingDedisperser, SinkFailuresSurfaceOnClose) {
   StreamingOptions opts;
   opts.cpu.threads = 1;
   StreamingDedisperser session(
-      batch.with_chunk(64), KernelConfig{8, 2, 4, 2},
+      batch.with_chunk(64), tile_32x4(),
       [](const StreamChunk&) { throw std::runtime_error("sink failed"); },
       opts);
   EXPECT_THROW(
@@ -699,10 +665,10 @@ TEST(StreamingDedisperser, SinkFailuresSurfaceOnClose) {
 
 TEST(StreamingDedisperser, ValidatesConfigAndInput) {
   const Plan chunk = Plan::with_output_samples(mini_obs(), 8, 64);
-  EXPECT_THROW(
-      StreamingDedisperser(chunk, KernelConfig{5, 1, 1, 1}, nullptr),
-      config_error);
-  StreamingDedisperser session(chunk, KernelConfig{8, 2, 4, 2}, nullptr);
+  const engine::EngineConfig untileable =
+      engine::encode_kernel_config(KernelConfig{5, 1, 1, 1});
+  EXPECT_THROW(StreamingDedisperser(chunk, untileable, nullptr), config_error);
+  StreamingDedisperser session(chunk, tile_32x4(), nullptr);
   Array2D<float> wrong(3, 10);
   EXPECT_THROW(session.push(wrong.cview()), invalid_argument);
 }
@@ -741,7 +707,7 @@ TEST(StreamingDedisperser, TracesOneDetectSpanPerEmittedChunk) {
     opts.detect = detect;
     opts.cpu.threads = 1;
     StreamingDedisperser session(batch.with_chunk(64),
-                                 KernelConfig{8, 2, 4, 2}, nullptr, opts);
+                                 tile_32x4(), nullptr, opts);
     session.push(input.cview());
     session.close();
     ASSERT_EQ(session.chunks_emitted(), 3u);  // 64 + 64 + flushed 17
@@ -751,52 +717,74 @@ TEST(StreamingDedisperser, TracesOneDetectSpanPerEmittedChunk) {
 
 // ------------------------------------------------------------ multi-beam --
 
-TEST(MultiBeamStreaming, BitwiseEqualToBatchPerBeam) {
-  const std::size_t total_out = 145;  // 2 full chunks of 64 + partial 17
-  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
-  const std::size_t beams = 3;
+/// Reassemble every beam's sink chunks into one dms × total matrix each.
+struct BeamCollector {
+  std::vector<Array2D<float>> totals;
+  std::size_t emitted = 0;
 
+  BeamCollector(std::size_t beams, std::size_t dms, std::size_t out) {
+    for (std::size_t b = 0; b < beams; ++b) totals.emplace_back(dms, out);
+  }
+
+  void operator()(const StreamChunk& chunk) {
+    ASSERT_EQ(chunk.outputs.size(), totals.size());
+    for (std::size_t b = 0; b < totals.size(); ++b) {
+      ASSERT_LE(chunk.first_sample + chunk.out_samples, totals[b].cols());
+      for (std::size_t dm = 0; dm < totals[b].rows(); ++dm) {
+        for (std::size_t t = 0; t < chunk.out_samples; ++t) {
+          totals[b](dm, chunk.first_sample + t) = chunk.outputs[b](dm, t);
+        }
+      }
+    }
+    emitted += chunk.out_samples;
+  }
+};
+
+/// Per-beam random inputs of \p batch and their reference outputs.
+struct BeamInputs {
   std::vector<Array2D<float>> inputs;
   std::vector<Array2D<float>> expected;
-  for (std::size_t b = 0; b < beams; ++b) {
-    inputs.push_back(random_input(batch, 10 + b));
-    expected.push_back(
-        dedisp::dedisperse_reference(batch, inputs[b].cview()));
+
+  BeamInputs(const Plan& batch, std::size_t beams, std::uint64_t seed) {
+    for (std::size_t b = 0; b < beams; ++b) {
+      inputs.push_back(random_input(batch, seed + b));
+      expected.push_back(
+          dedisp::dedisperse_reference(batch, inputs.back().cview()));
+    }
   }
 
-  std::vector<Array2D<float>> collected;
-  for (std::size_t b = 0; b < beams; ++b) {
-    collected.emplace_back(batch.dms(), total_out);
-  }
-  std::size_t emitted = 0;
-  StreamingOptions opts;
-  opts.detect = true;
-  opts.cpu.threads = 1;
-  MultiBeamStreamingDedisperser session(
-      batch.with_chunk(64),
-      engine::encode_kernel_config(KernelConfig{8, 2, 4, 2}), beams,
-      [&](const MultiBeamStreamChunk& chunk) {
-        ASSERT_NE(chunk.outputs, nullptr);
-        ASSERT_EQ(chunk.outputs->size(), beams);
-        EXPECT_TRUE(chunk.candidate.has_value());
-        for (std::size_t b = 0; b < beams; ++b) {
-          for (std::size_t dm = 0; dm < batch.dms(); ++dm) {
-            for (std::size_t t = 0; t < chunk.out_samples; ++t) {
-              collected[b](dm, chunk.first_sample + t) =
-                  (*chunk.outputs)[b](dm, t);
-            }
-          }
+  /// The beams stacked beam-major: rows [b·channels, (b+1)·channels).
+  Array2D<float> stacked() const {
+    const std::size_t channels = inputs[0].rows();
+    Array2D<float> out(inputs.size() * channels, inputs[0].cols());
+    for (std::size_t b = 0; b < inputs.size(); ++b) {
+      for (std::size_t ch = 0; ch < channels; ++ch) {
+        for (std::size_t t = 0; t < out.cols(); ++t) {
+          out(b * channels + ch, t) = inputs[b](ch, t);
         }
-        emitted += chunk.out_samples;
-      },
-      opts);
+      }
+    }
+    return out;
+  }
 
-  // Ragged lockstep feeds.
-  Rng rng(3);
+  void expect_matches(const BeamCollector& collect) const {
+    for (std::size_t b = 0; b < expected.size(); ++b) {
+      SCOPED_TRACE("beam " + std::to_string(b));
+      expect_same_matrix(expected[b], collect.totals[b]);
+    }
+  }
+};
+
+/// Feed every beam the same ragged slices of 1..max_slice samples.
+void feed_beams_in_slices(StreamingDedisperser& session,
+                          const std::vector<Array2D<float>>& inputs,
+                          std::size_t max_slice, std::uint64_t seed) {
+  Rng rng(seed);
   std::size_t t = 0;
   while (t < inputs[0].cols()) {
     const std::size_t n = std::min<std::size_t>(
-        inputs[0].cols() - t, 1 + static_cast<std::size_t>(rng.next_below(23)));
+        inputs[0].cols() - t,
+        1 + static_cast<std::size_t>(rng.next_below(max_slice)));
     std::vector<ConstView2D<float>> slices;
     for (const auto& in : inputs) {
       slices.emplace_back(&in.cview()(0, t), in.rows(), n, in.pitch());
@@ -804,29 +792,80 @@ TEST(MultiBeamStreaming, BitwiseEqualToBatchPerBeam) {
     session.push(slices);
     t += n;
   }
-  session.close();
+}
 
-  EXPECT_EQ(emitted, total_out);
-  EXPECT_EQ(session.chunks_emitted(), 3u);
-  EXPECT_EQ(session.latency().chunks, 3u);
-  for (std::size_t b = 0; b < beams; ++b) {
-    expect_same_matrix(expected[b], collected[b]);
+TEST(MultiBeamSession, BitwiseEqualToBatchPerBeam) {
+  const std::size_t total_out = 145;  // 2 full chunks of 64 + partial 17
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
+  const std::size_t beams = 3;
+  const BeamInputs beam_inputs(batch, beams, 10);
+
+  // Sync, then async: the compute thread's double buffer holds all three
+  // beams' windows, the flush chunk included.
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    BeamCollector collect(beams, batch.dms(), total_out);
+    std::size_t with_candidate = 0;
+    StreamingOptions opts;
+    opts.beams = beams;
+    opts.detect = true;
+    opts.async = async;
+    opts.cpu.threads = 1;
+    StreamingDedisperser session(
+        batch.with_chunk(64), tile_32x4(),
+        [&](const StreamChunk& chunk) {
+          if (chunk.candidate.has_value()) ++with_candidate;
+          EXPECT_EQ(chunk.output.data(), chunk.outputs[0].data());
+          collect(chunk);
+        },
+        opts);
+    EXPECT_EQ(session.beams(), beams);
+    feed_beams_in_slices(session, beam_inputs.inputs, 23, 3);
+    session.close();
+
+    EXPECT_EQ(collect.emitted, total_out);
+    EXPECT_EQ(with_candidate, 3u);
+    EXPECT_EQ(session.chunks_emitted(), 3u);
+    EXPECT_EQ(session.latency().chunks, 3u);
+    beam_inputs.expect_matches(collect);
   }
 }
 
-TEST(MultiBeamStreaming, TracesOneDetectSpanPerEmittedChunk) {
+TEST(MultiBeamSession, StackedPushEqualsPerBeamPush) {
+  // One beam-major block of beams × channels rows is split into row views:
+  // same windows, same output as feeding the beams separately — whole
+  // blocks ride the zero-copy path, ragged ones the chunkers.
+  const std::size_t total_out = 145;
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
+  const BeamInputs beam_inputs(batch, 2, 40);
+  const Array2D<float> stacked = beam_inputs.stacked();
+  for (std::size_t max_slice : {std::size_t{7}, stacked.cols()}) {
+    SCOPED_TRACE("max_slice=" + std::to_string(max_slice));
+    BeamCollector collect(2, batch.dms(), total_out);
+    StreamingOptions opts;
+    opts.beams = 2;
+    opts.cpu.threads = 1;
+    StreamingDedisperser session(batch.with_chunk(64), tile_32x4(),
+                                 std::ref(collect), opts);
+    feed_in_slices(session, stacked, max_slice, 8);
+    session.close();
+    EXPECT_EQ(collect.emitted, total_out);
+    beam_inputs.expect_matches(collect);
+  }
+}
+
+TEST(MultiBeamSession, TracesOneDetectSpanPerEmittedChunk) {
   const Plan batch = Plan::with_output_samples(mini_obs(), 8, 145);
   const std::vector<Array2D<float>> inputs = {random_input(batch, 1),
                                               random_input(batch, 2)};
   for (bool detect : {false, true}) {
     ScopedTracing tracing;
     StreamingOptions opts;
+    opts.beams = inputs.size();
     opts.detect = detect;
     opts.cpu.threads = 1;
-    MultiBeamStreamingDedisperser session(
-        batch.with_chunk(64),
-        engine::encode_kernel_config(KernelConfig{8, 2, 4, 2}),
-        inputs.size(), nullptr, opts);
+    StreamingDedisperser session(batch.with_chunk(64), tile_32x4(), nullptr,
+                                 opts);
     session.push({inputs[0].cview(), inputs[1].cview()});
     session.close();
     ASSERT_EQ(session.chunks_emitted(), 3u);
@@ -834,17 +873,170 @@ TEST(MultiBeamStreaming, TracesOneDetectSpanPerEmittedChunk) {
   }
 }
 
-TEST(MultiBeamStreaming, ValidatesLockstepFeeds) {
+TEST(MultiBeamSession, ValidatesLockstepFeeds) {
   const Plan chunk = Plan::with_output_samples(mini_obs(), 8, 64);
-  const engine::EngineConfig config =
-      engine::encode_kernel_config(KernelConfig{8, 2, 4, 2});
-  MultiBeamStreamingDedisperser session(chunk, config, 2, nullptr);
+  StreamingOptions opts;
+  opts.beams = 2;
+  StreamingDedisperser session(chunk, tile_32x4(), nullptr, opts);
   Array2D<float> a(8, 10);
   Array2D<float> b(8, 7);
   EXPECT_THROW(session.push({a.cview(), b.cview()}), invalid_argument);
   EXPECT_THROW(session.push({a.cview()}), invalid_argument);
-  EXPECT_THROW(MultiBeamStreamingDedisperser(chunk, config, 0, nullptr),
+  // A stacked block must hold beams × channels rows.
+  EXPECT_THROW(session.push(a.cview()), invalid_argument);
+  opts.beams = 0;
+  EXPECT_THROW(StreamingDedisperser(chunk, tile_32x4(), nullptr, opts),
                invalid_argument);
+}
+
+TEST(MultiBeamSession, RejectedFeedLeavesTheSessionIntact) {
+  // Regression: rows were checked per beam while feeding, so beam 0 had
+  // absorbed its samples when beam 1's wrong row count was rejected, and
+  // every later push failed with "beam chunkers fell out of lockstep".
+  const std::size_t total_out = 145;
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
+  const BeamInputs beam_inputs(batch, 2, 60);
+  BeamCollector collect(2, batch.dms(), total_out);
+  StreamingOptions opts;
+  opts.beams = 2;
+  opts.async = false;
+  opts.cpu.threads = 1;
+  StreamingDedisperser session(batch.with_chunk(64), tile_32x4(),
+                               std::ref(collect), opts);
+
+  const Array2D<float> extra_channel(batch.channels() + 1, 10);
+  const ConstView2D<float> beam0(beam_inputs.inputs[0].cview().data(),
+                                 batch.channels(), 10,
+                                 beam_inputs.inputs[0].pitch());
+  EXPECT_THROW(session.push({beam0, extra_channel.cview()}),
+               invalid_argument);
+
+  feed_beams_in_slices(session, beam_inputs.inputs, 19, 61);
+  session.close();
+  EXPECT_EQ(collect.emitted, total_out);
+  beam_inputs.expect_matches(collect);
+}
+
+TEST(MultiBeamSession, WarmTuningCacheCostsNoMeasurements) {
+  const std::size_t total_out = 128;
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
+  const BeamInputs beam_inputs(batch, 2, 70);
+
+  tuner::TuningCache cache;
+  tuner::GuidedTuningOptions tuning;
+  tuning.host.repetitions = 1;
+  tuning.host.warmup_runs = 0;
+  tuning.strategy = tuner::StrategyKind::kRandom;
+  tuning.random_samples = 3;
+  StreamingOptions opts;
+  opts.beams = 2;
+  opts.cpu.threads = 1;
+
+  tuner::GuidedTuningOutcome cold;
+  for (bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    BeamCollector collect(2, batch.dms(), total_out);
+    StreamingDedisperser session(batch.with_chunk(32), cache,
+                                 std::ref(collect), opts, tuning);
+    ASSERT_TRUE(session.tuning_outcome().has_value());
+    const tuner::GuidedTuningOutcome& outcome = *session.tuning_outcome();
+    if (warm) {
+      EXPECT_EQ(outcome.source, tuner::GuidedTuningOutcome::Source::kCacheHit);
+      EXPECT_EQ(outcome.configs_evaluated, 0u);
+      EXPECT_EQ(outcome.engine_id, cold.engine_id);
+      EXPECT_EQ(outcome.config, cold.config);
+    } else {
+      EXPECT_EQ(outcome.source, tuner::GuidedTuningOutcome::Source::kSearch);
+      EXPECT_GT(outcome.configs_evaluated, 0u);
+      cold = outcome;
+    }
+    // The session runs what the cache resolved.
+    EXPECT_EQ(session.health().active_engine, outcome.engine_id);
+    feed_beams_in_slices(session, beam_inputs.inputs, 31, 71);
+    session.close();
+    EXPECT_EQ(collect.emitted, total_out);
+    beam_inputs.expect_matches(collect);
+  }
+}
+
+TEST(MultiBeamSession, ConsumesABeamMajorRing) {
+  // consume() drains a ring of beams × channels rows; its output equals
+  // feeding the same beams through push().
+  const std::size_t total_out = 128;
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, total_out);
+  const BeamInputs beam_inputs(batch, 2, 80);
+  const Array2D<float> stacked = beam_inputs.stacked();
+  StreamingOptions opts;
+  opts.beams = 2;
+  opts.cpu.threads = 1;
+
+  BeamCollector pushed(2, batch.dms(), total_out);
+  {
+    StreamingDedisperser session(batch.with_chunk(64), tile_32x4(),
+                                 std::ref(pushed), opts);
+    feed_beams_in_slices(session, beam_inputs.inputs, 13, 5);
+    session.close();
+  }
+
+  SampleRing ring(stacked.rows(), 48);  // smaller than one window
+  BeamCollector consumed(2, batch.dms(), total_out);
+  StreamingDedisperser session(batch.with_chunk(64), tile_32x4(),
+                               std::ref(consumed), opts);
+  std::thread producer([&] {
+    Rng rng(5);
+    std::size_t t = 0;
+    while (t < stacked.cols()) {
+      const std::size_t n = std::min<std::size_t>(
+          stacked.cols() - t,
+          1 + static_cast<std::size_t>(rng.next_below(13)));
+      ring.push(ConstView2D<float>(&stacked.cview()(0, t), stacked.rows(), n,
+                                   stacked.pitch()));
+      t += n;
+    }
+    ring.close();
+  });
+  session.consume(ring);
+  producer.join();
+  session.close();
+
+  EXPECT_EQ(consumed.emitted, total_out);
+  for (std::size_t b = 0; b < 2; ++b) {
+    SCOPED_TRACE("beam " + std::to_string(b));
+    expect_same_matrix(pushed.totals[b], consumed.totals[b]);
+  }
+  beam_inputs.expect_matches(consumed);
+
+  // A ring sized for one beam does not fit a two-beam session.
+  SampleRing one_beam(batch.channels(), 48);
+  one_beam.close();
+  StreamingDedisperser other(batch.with_chunk(64), tile_32x4(), nullptr,
+                             opts);
+  EXPECT_THROW(other.consume(one_beam), invalid_argument);
+}
+
+TEST(StreamingDedisperser, SingleBeamCandidateIsTheChunksBestDm) {
+  const Plan batch = Plan::with_output_samples(mini_obs(), 8, 145);
+  const Array2D<float> input = random_input(batch, 90);
+  std::size_t checked = 0;
+  StreamingOptions opts;
+  opts.detect = true;
+  opts.cpu.threads = 1;
+  StreamingDedisperser session(
+      batch.with_chunk(64), tile_32x4(),
+      [&](const StreamChunk& chunk) {
+        ASSERT_TRUE(chunk.candidate.has_value());
+        ASSERT_EQ(chunk.outputs.size(), 1u);
+        const sky::DetectionResult want = sky::detect_best_dm(chunk.output);
+        EXPECT_EQ(chunk.candidate->beam, 0u);
+        EXPECT_EQ(chunk.candidate->detection.best_trial, want.best_trial);
+        EXPECT_EQ(chunk.candidate->detection.best_snr, want.best_snr);
+        EXPECT_EQ(chunk.candidate->detection.peak_sample, want.peak_sample);
+        ++checked;
+      },
+      opts);
+  session.push(input.cview());
+  session.close();
+  EXPECT_EQ(checked, 3u);  // 64 + 64 + flushed 17
 }
 
 // --------------------------------------------------------------- latency --
